@@ -26,7 +26,6 @@ from .draconian import ENGINES, EnumerationCapExceeded, count_draconian, enumera
 from .ehrhart import ehrhart_nvol
 from .graphs import (
     Graph,
-    GraphFormatError,
     canonical_matching,
     complete_graph,
     connected_components,
@@ -65,32 +64,34 @@ def parse_family(spec: str) -> tuple[str, tuple[int, ...]]:
 
 
 def family_graph(name: str, params: tuple[int, ...]) -> Graph:
-    try:
-        if name == "complete":
-            return complete_graph(params[0])
-        if name == "matching-triangles":
-            n, m = params
-            base = complete_graph(n)
-            return triangle_extend_set(base, canonical_matching(n, m).edges)
-        if name == "path-deleted":
-            return delete_path(*params)
-        return delete_cycle(*params)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if name == "complete":
+        return complete_graph(params[0])
+    if name == "matching-triangles":
+        n, m = params
+        base = complete_graph(n)
+        return triangle_extend_set(base, canonical_matching(n, m).edges)
+    if name == "path-deleted":
+        return delete_path(*params)
+    return delete_cycle(*params)
 
 
 def family_formula_values(name: str, params: tuple[int, ...]) -> dict:
-    try:
-        if name == "complete":
-            return {"value": str(formulas.nvol_complete(params[0]))}
-        if name == "matching-triangles":
-            return {"value": str(formulas.nvol_matching_triangles(*params))}
-        if name == "path-deleted":
-            readings = formulas.nvol_path_deleted(*params)
-            return {"as_printed": str(readings.as_printed), "grouped": str(readings.grouped)}
-        return {"value": str(formulas.nvol_cycle_deleted(*params))}
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if name == "complete":
+        return {"value": str(formulas.nvol_complete(params[0]))}
+    if name == "matching-triangles":
+        return {"value": str(formulas.nvol_matching_triangles(*params))}
+    if name == "path-deleted":
+        readings = formulas.nvol_path_deleted(*params)
+        return {"as_printed": str(readings.as_printed), "grouped": str(readings.grouped)}
+    return {"value": str(formulas.nvol_cycle_deleted(*params))}
+
+
+def positive_int(text: str) -> int:
+    """argparse type for --jobs: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_range(text: str, lo_default: int, hi_default: int) -> list[int]:
@@ -128,14 +129,15 @@ def emit(args, payload: dict, table_lines) -> None:
 
 def cmd_count(args) -> int:
     g = load_input_graph(args)
-    biggest = max(part.graph.n for part in connected_components(g))
+    comps = connected_components(g)
+    biggest = max(part.graph.n for part in comps)
     if biggest > args.cap_n:
         raise EnumerationCapExceeded(
             f"largest component has {biggest} vertices, over the cap {args.cap_n}; "
             f"raise --cap-n to force this"
         )
     if args.list:
-        if len(connected_components(g)) != 1:
+        if len(comps) != 1:
             raise UsageError(
                 "--list needs a connected graph: for disconnected input the volume "
                 "is a product over components, not the size of one sequence set"
@@ -296,11 +298,8 @@ def cmd_recurrence(args) -> int:
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError:
         raise UsageError(f"--edge wants 'u,v', got {args.edge!r}")
-    try:
-        report = verify_partition(g, (u, v))
-        hyp = recurrence_hypotheses(g, (u, v))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = verify_partition(g, (u, v))
+    hyp = recurrence_hypotheses(g, (u, v))
     ratio = Fraction(report.extended_count, report.base_count) if report.base_count else None
     payload = report.to_dict()
     payload["hypotheses_hold"] = hyp
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p)
     p.add_argument("--cap-n", type=int, default=4, metavar="N",
                    help="dilate-counting cap (default 4)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes (>= 1)")
     add_render(p)
     p.set_defaults(run=cmd_ehrhart)
 
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="sweep small graphs for the tripling boundary")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes (>= 1)")
     add_render(p)
     p.set_defaults(run=cmd_search)
 
@@ -411,19 +410,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -176,6 +176,8 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
         c[k] = 0
 
     place(0, total)
+    # place's closure refers to itself: break the cycle so out is freed without a GC pass
+    del place
     return out
 
 
@@ -213,13 +215,11 @@ def count_draconian(g: Graph, engine: str = "auto") -> VolumeReport:
     resolved = "subset" if engine == "auto" else engine
     start = time.perf_counter()
     comps = connected_components(g)
+    count = 1
+    for part in comps:
+        count *= len(enumerate_draconian(doubling(part.graph), resolved))
     notes = []
-    if len(comps) == 1:
-        count = len(enumerate_draconian(doubling(g), resolved))
-    else:
-        count = 1
-        for part in comps:
-            count *= len(enumerate_draconian(doubling(part.graph), resolved))
+    if len(comps) > 1:
         notes.append(f"disconnected: product over {len(comps)} components")
         isolated = sum(1 for part in comps if part.graph.n == 1)
         if isolated:

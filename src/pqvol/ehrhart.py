@@ -21,7 +21,6 @@ normalized volume.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +29,7 @@ from .combinat import weak_compositions
 from .draconian import EnumerationCapExceeded
 from .flows import transportation_feasible
 from .graphs import Graph, connected_components, doubling
+from .parallel import map_in_order
 
 DEFAULT_DILATE_CAP = 4
 
@@ -120,10 +120,7 @@ def count_dilate_points(g: Graph, t: int, jobs: int = 1) -> int:
     """Number of lattice points in the t-th dilate, by marginal enumeration."""
     masks = doubling(g).masks
     tasks = [(masks, g.n, t, a) for a in weak_compositions(t, g.n)]
-    if jobs <= 1:
-        return sum(_count_dilate_slice(task) for task in tasks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_dilate_slice, tasks))
+    return sum(map_in_order(_count_dilate_slice, tasks, jobs))
 
 
 def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP, jobs: int = 1,

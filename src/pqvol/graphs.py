@@ -2,20 +2,25 @@
 
 Vertices are labeled 1..n.  An edge is an unordered pair of distinct
 vertices, stored as a tuple (u, v) with u < v.  Graphs are immutable;
-every construction returns a new Graph.
+every construction returns a new Graph.  Adjacency is read from one
+place, the bitmasks adj: bit w-1 of adj[v-1] is set exactly when vw is
+an edge.
 
 The doubling D(G) of a graph G on [n] is the bipartite graph on
 [n] + [n-bar] in which i on the left is joined to i-bar and to j-bar
 for every edge ij of G.  Left neighborhoods in D(G) drive all the
-counting in this package, so the doubling stores them as bitmasks:
+counting in this package; they are adj with the self bit added, so
 bit j-1 of masks[i-1] is set exactly when i is joined to j-bar.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
+
+# largest vertex count a graph file may declare: Graph allocates a mask per vertex
+MAX_VERTICES = 4096
 
 
 class GraphFormatError(ValueError):
@@ -26,6 +31,16 @@ class GraphFormatError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+def _bits(mask: int) -> list[int]:
+    """The 1-based positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 def _as_edge(u, v) -> tuple[int, int]:
@@ -40,14 +55,19 @@ class Graph:
 
     n: int
     edges: frozenset[tuple[int, int]]
+    adj: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
+        adj = [0] * self.n
         for e in self.edges:
             u, v = e
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge {e} is not an ordered pair inside 1..{self.n}")
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+        object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -57,13 +77,16 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and _as_edge(u, v) in self.edges
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def _mask(self, v: int) -> int:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
+        return self.adj[v - 1]
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return frozenset(_bits(self._mask(v)))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self._mask(v).bit_count()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -105,8 +128,7 @@ class BipartiteDouble:
 
     def neighborhood(self, i: int) -> frozenset[int]:
         """Right labels adjacent to left vertex i (j stands for j-bar)."""
-        m = self.masks[i - 1]
-        return frozenset(j + 1 for j in range(self.n) if m >> j & 1)
+        return frozenset(_bits(self.masks[i - 1]))
 
     def neighborhood_size(self, i: int) -> int:
         return self.masks[i - 1].bit_count()
@@ -114,11 +136,7 @@ class BipartiteDouble:
 
 def doubling(g: Graph) -> BipartiteDouble:
     """The bipartite double of g.  Left vertex i meets i-bar and j-bar for edges ij."""
-    masks = [1 << (i - 1) for i in range(1, g.n + 1)]
-    for u, v in g.edges:
-        masks[u - 1] |= 1 << (v - 1)
-        masks[v - 1] |= 1 << (u - 1)
-    return BipartiteDouble(g.n, tuple(masks))
+    return BipartiteDouble(g.n, tuple(m | 1 << i for i, m in enumerate(g.adj)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -215,22 +233,19 @@ class Component:
 
 def connected_components(g: Graph) -> list[Component]:
     """Components ordered by smallest original vertex, each relabeled to 1..k."""
-    unseen = set(range(1, g.n + 1))
+    unseen = (1 << g.n) - 1
     out = []
     while unseen:
-        root = min(unseen)
-        block = {root}
-        frontier = [root]
+        block = frontier = unseen & -unseen
         while frontier:
-            v = frontier.pop()
-            for w in g.neighbors(v):
-                if w not in block:
-                    block.add(w)
-                    frontier.append(w)
-        unseen -= block
-        verts = tuple(sorted(block))
+            low = frontier & -frontier
+            grown = g.adj[low.bit_length() - 1] & ~block
+            block |= grown
+            frontier = (frontier ^ low) | grown
+        unseen &= ~block
+        verts = tuple(_bits(block))
         pos = {v: i + 1 for i, v in enumerate(verts)}
-        edges = frozenset((pos[u], pos[v]) for u, v in g.edges if u in block and v in block)
+        edges = frozenset((pos[u], pos[w]) for u in verts for w in _bits(g.adj[u - 1]) if u < w)
         out.append(Component(Graph(len(verts), edges), verts))
     return out
 
@@ -253,8 +268,10 @@ def parse_graph(text: str) -> Graph:
                 n = int(line)
             except ValueError:
                 raise GraphFormatError(f"expected a vertex count, got {line!r}", line_no)
-            if n < 1:
-                raise GraphFormatError(f"vertex count must be positive, got {n}", line_no)
+            if not 1 <= n <= MAX_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count must be positive and at most {MAX_VERTICES}, got {n}", line_no
+                )
             continue
         parts = line.split()
         if len(parts) != 2:

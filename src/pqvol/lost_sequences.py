@@ -22,10 +22,11 @@ side rather than reconciling them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
-from .combinat import SequenceSet
+from .combinat import SequenceSet, weak_compositions
 from .draconian import EnumerationCapExceeded, enumerate_draconian
-from .graphs import complete_graph, cycle_vertices, delete_cycle, delete_path, doubling
+from .graphs import Graph, cycle_vertices, delete_cycle, delete_path, doubling
 
 
 def _unit(n: int, i: int, amount: int) -> tuple[int, ...]:
@@ -159,11 +160,18 @@ class IdentityReport:
         return out
 
 
-def _lost_sequences(n: int, deleted) -> tuple[SequenceSet, int, int]:
-    full = enumerate_draconian(doubling(complete_graph(n)))
+def _compare(deleted: Graph, families: dict) -> tuple[dict, SequenceSet]:
+    """Cardinalities for a deleted graph; symmetric difference of lost set and union."""
+    n = deleted.n
+    # every weak composition of n-1 is draconian for K_n: there each N(S) has all n vertices
+    full = list(weak_compositions(n - 1, n))
     kept = set(enumerate_draconian(doubling(deleted)))
     lost = SequenceSet.of(n, (c for c in full if c not in kept))
-    return lost, len(full), len(kept)
+    union = reduce(SequenceSet.union, families.values())
+    actual = {name: len(fam) for name, fam in families.items()}
+    actual.update(union=len(union), lost=len(lost), complete_count=len(full),
+                  deleted_count=len(kept))
+    return actual, lost.symmetric_difference(union)
 
 
 def _check_cap(n: int, cap_n: int):
@@ -177,20 +185,10 @@ def verify_path_identity(n: int, m: int, cap_n: int = 9) -> IdentityReport:
     """Does heavy-union-split equal the sequences lost by deleting the path?"""
     _check_path_params(n, m)
     _check_cap(n, cap_n)
-    lost, full_count, kept_count = _lost_sequences(n, delete_path(n, m))
     heavy = path_heavy_exceptions(n, m)
     split = path_split_exceptions(n, m)
-    union = heavy.union(split)
-    diff = lost.symmetric_difference(union)
-    actual = {
-        "heavy": len(heavy),
-        "split": len(split),
-        "overlap": len(heavy.intersection(split)),
-        "union": len(union),
-        "lost": len(lost),
-        "complete_count": full_count,
-        "deleted_count": kept_count,
-    }
+    actual, diff = _compare(delete_path(n, m), {"heavy": heavy, "split": split})
+    actual["overlap"] = len(heavy.intersection(split))
     return IdentityReport(
         params={"family": "path-deleted", "n": n, "m": m},
         identity_holds=len(diff) == 0,
@@ -207,30 +205,14 @@ def verify_cycle_identity(n: int, m: int, cap_n: int = 9) -> IdentityReport:
     """
     _check_cycle_params(n, m)
     _check_cap(n, cap_n)
-    lost, full_count, kept_count = _lost_sequences(n, delete_cycle(n, m))
-    heavy = cycle_heavy_exceptions(n, m)
-    split = cycle_split_exceptions(n, m)
-    families = [heavy, split]
-    actual = {"heavy": len(heavy), "split": len(split)}
+    families = {"heavy": cycle_heavy_exceptions(n, m), "split": cycle_split_exceptions(n, m)}
     if m == 4:
-        triple = cycle_triple_exceptions(n, m)
-        families.append(triple)
-        actual["triple"] = len(triple)
-    union = families[0]
-    for fam in families[1:]:
-        union = union.union(fam)
-    disjoint = len(union) == sum(len(f) for f in families)
-    diff = lost.symmetric_difference(union)
-    actual.update({
-        "union": len(union),
-        "lost": len(lost),
-        "complete_count": full_count,
-        "deleted_count": kept_count,
-    })
+        families["triple"] = cycle_triple_exceptions(n, m)
+    actual, diff = _compare(delete_cycle(n, m), families)
     return IdentityReport(
         params={"family": "cycle-deleted", "n": n, "m": m},
         identity_holds=len(diff) == 0,
         cardinalities={"claimed": claimed_cycle_sizes(n, m), "actual": actual},
         symmetric_difference=list(diff),
-        pairwise_disjoint=disjoint,
+        pairwise_disjoint=actual["union"] == sum(len(f) for f in families.values()),
     )

@@ -21,13 +21,12 @@ all small connected graphs looking for the boundary.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .combinat import SequenceSet
 from .draconian import enumerate_draconian
 from .graphs import Graph, connected_components, doubling, triangle_extend
+from .parallel import map_in_order
 
 
 def lift_one(c: Sequence[int]) -> tuple[int, ...]:
@@ -230,23 +229,27 @@ def connected_graph_stream(n_max: int) -> Iterator[Graph]:
             yield found[key]
 
 
-def _search_task(args) -> dict:
-    n, edges, e = args
+def _search_task(args) -> list[dict]:
+    """Records for every edge of one graph, counting the base graph once."""
+    n, edges = args
     g = Graph(n, frozenset(edges))
     base = len(enumerate_draconian(doubling(g)))
-    extended = len(enumerate_draconian(doubling(triangle_extend(g, e))))
-    hyp = recurrence_hypotheses(g, e)
-    triples = extended == 3 * base
-    category = ("hypotheses-hold" if hyp else "hypotheses-fail") + \
-               (":triples" if triples else ":fails")
-    return {
-        "graph_encoding": g.descriptor(),
-        "edge": list(e),
-        "hypotheses_hold": hyp,
-        "triples": triples,
-        "counts": {"base": str(base), "extended": str(extended)},
-        "category": category,
-    }
+    records = []
+    for e in edges:
+        extended = len(enumerate_draconian(doubling(triangle_extend(g, e))))
+        hyp = recurrence_hypotheses(g, e)
+        triples = extended == 3 * base
+        category = ("hypotheses-hold" if hyp else "hypotheses-fail") + \
+                   (":triples" if triples else ":fails")
+        records.append({
+            "graph_encoding": g.descriptor(),
+            "edge": list(e),
+            "hypotheses_hold": hyp,
+            "triples": triples,
+            "counts": {"base": str(base), "extended": str(extended)},
+            "category": category,
+        })
+    return records
 
 
 def search_triple_recurrence(n_max: int, source: Iterable[Graph] | None = None,
@@ -259,12 +262,5 @@ def search_triple_recurrence(n_max: int, source: Iterable[Graph] | None = None,
     caller should treat any such record as an alarm.
     """
     graphs = source if source is not None else connected_graph_stream(n_max)
-    tasks = [
-        (g.n, tuple(g.sorted_edges()), e)
-        for g in graphs
-        for e in g.sorted_edges()
-    ]
-    if jobs <= 1:
-        return [_search_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_search_task, tasks))
+    tasks = [(g.n, tuple(g.sorted_edges())) for g in graphs]
+    return [r for records in map_in_order(_search_task, tasks, jobs) for r in records]

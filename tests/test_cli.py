@@ -96,6 +96,24 @@ def test_parse_error_names_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_huge_vertex_count_refused_at_line_one(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{10**12}\n1 2\n")
+    code, out, err = run(capsys, "count", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert "line 1" in err
+
+
+@pytest.mark.parametrize("command", [["search", "--n-max", "3"],
+                                     ["ehrhart", "--family", "complete:2"]])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_refused(capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_missing_graph_source(capsys):
     code, _, err = run(capsys, "count")
     assert code == 2

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -187,3 +188,14 @@ def test_engine_equivalence_random_sample():
         d = doubling(g)
         for c in weak_compositions(n - 1, n):
             assert is_draconian_subset(d, c) == is_draconian_flow(d, c), (g.descriptor(), c)
+
+
+def test_enumeration_result_is_freed_without_a_gc_pass():
+    d = doubling(delete_cycle(7, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_draconian(d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,0 +1,36 @@
+"""Byte-identity of CLI output across changes.
+
+Each digest is the sha256 of stdout for one command, recorded together
+with its exit code before graphs carried adjacency bitmasks.  A
+refactor that changes any byte of these outputs, or an exit code,
+fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from pqvol.cli import main
+
+GOLDEN = [
+    (["search", "--n-max", "5"], 0,
+     "012a33314dec4fba36e9d2a61b985833ea4129bfe86e69bd174041fe80233726"),
+    (["verify", "--family", "cycle-deleted", "--n", "5..7"], 0,
+     "6a5a7d359c561a84d2bdd316f848f7404012afbcfbd02e4086e850a0a2624dca"),
+    (["verify", "--family", "path-deleted", "--n", "4..7"], 0,
+     "50222387a18fbc23cf4a8270fbbad29b5d9c3c5509a3b029de7b2c38894e54e5"),
+    (["verify", "--family", "matching-triangles", "--n", "4..5"], 0,
+     "5ba7f8db896135aec1fad2e023c29c63e06d7943a3c3a0e78ab571217eb6d902"),
+    (["count", "--family", "cycle-deleted:8,4", "--list"], 0,
+     "f1c421fe4d1f90925a383fdb58770d132c4ada5dfeb0cd881226d841b5322c6a"),
+    (["ehrhart", "--family", "complete:3"], 0,
+     "80a1d54de4116c7e296cc1de96999bba62e13a03e6da8b91f3309b6bdd1155bb"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_output_is_byte_identical(capsys, argv, code, digest):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

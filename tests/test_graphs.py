@@ -1,6 +1,11 @@
+import pickle
+import random
+
 import pytest
+from oracle import double_neighborhoods, random_graph
 
 from pqvol.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
     Matching,
@@ -146,6 +151,8 @@ def test_parse_graph_roundtrip():
         ("3\n1 4\n", "outside"),
         ("3\n1 2\n2 1\n", "line 3"),
         ("-2\n", "positive"),
+        (f"{10**12}\n1 2\n", "line 1"),
+        (f"{MAX_VERTICES + 1}\n", "at most"),
     ],
 )
 def test_parse_graph_errors(text, fragment):
@@ -159,3 +166,64 @@ def test_duplicate_edge_error_names_both_lines():
         parse_graph("3\n2 3\n1 2\n3 2\n")
     msg = str(err.value)
     assert "line 4" in msg and "line 2" in msg
+
+
+def test_parse_graph_accepts_the_vertex_bound():
+    assert parse_graph(f"{MAX_VERTICES}\n1 {MAX_VERTICES}\n").degree(MAX_VERTICES) == 1
+
+
+def test_adjacency_masks_are_a_derived_field():
+    g = Graph.from_edges(4, [(1, 2), (2, 3), (2, 4)])
+    assert g.adj == (0b0010, 0b1101, 0b0010, 0b0010)
+    h = Graph(4, frozenset(g.edges))
+    assert g == h and hash(g) == hash(h)
+    assert "adj" not in repr(g)
+    assert pickle.loads(pickle.dumps(g)).adj == g.adj
+    with pytest.raises(TypeError):
+        Graph(4, g.edges, adj=g.adj)
+
+
+class _NoIteration(frozenset):
+    def __iter__(self):
+        raise AssertionError("edge set iterated")
+
+
+def test_adjacency_readers_do_not_scan_the_edge_set():
+    g = Graph.from_edges(5, [(1, 2), (2, 3), (4, 5)])
+    object.__setattr__(g, "edges", _NoIteration(g.edges))
+    assert g.neighbors(2) == {1, 3} and g.degree(5) == 1
+    assert doubling(g).masks == (0b00011, 0b00111, 0b00110, 0b11000, 0b11000)
+    parts = connected_components(g)
+    assert [p.vertices for p in parts] == [(1, 2, 3), (4, 5)]
+    assert parts[0].graph.edges == {(1, 2), (2, 3)}
+
+
+def _reference_components(n, edges):
+    """Vertex blocks by repeated merging over the edge list."""
+    label = list(range(n + 1))
+    for _ in range(n):
+        for u, v in edges:
+            label[u] = label[v] = min(label[u], label[v])
+    blocks = {}
+    for v in range(1, n + 1):
+        blocks.setdefault(label[v], []).append(v)
+    return sorted(tuple(b) for b in blocks.values())
+
+
+def test_masks_match_edge_based_reference_random():
+    rng = random.Random(2202)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        edges = random_graph(rng, n, p=rng.choice((0.2, 0.4, 0.7)))
+        g = Graph.from_edges(n, edges)
+        nbrs = double_neighborhoods(n, g.edges)
+        d = doubling(g)
+        for v in range(1, n + 1):
+            assert g.neighbors(v) == nbrs[v] - {v}
+            assert g.degree(v) == len(nbrs[v]) - 1
+            assert d.neighborhood(v) == nbrs[v]
+        parts = connected_components(g)
+        assert [p.vertices for p in parts] == _reference_components(n, g.edges)
+        for p in parts:
+            back = {(p.vertices[a - 1], p.vertices[b - 1]) for a, b in p.graph.edges}
+            assert back == {e for e in g.edges if e[0] in p.vertices}

@@ -182,3 +182,16 @@ def test_enumeration_cap():
         verify_path_identity(12, 2, cap_n=9)
     with pytest.raises(EnumerationCapExceeded):
         verify_cycle_identity(10, 3, cap_n=9)
+
+
+def test_lost_set_agrees_with_complete_graph_enumeration():
+    # the reference: lost = draconian for K_n minus draconian for the deletion
+    for n, m, verify, delete in ((6, 3, verify_path_identity, delete_path),
+                                 (6, 4, verify_cycle_identity, delete_cycle),
+                                 (7, 5, verify_cycle_identity, delete_cycle)):
+        full = enumerate_draconian(doubling(complete_graph(n)))
+        kept = set(enumerate_draconian(doubling(delete(n, m))))
+        actual = verify(n, m).cardinalities["actual"]
+        assert actual["complete_count"] == len(full)
+        assert actual["deleted_count"] == len(kept)
+        assert actual["lost"] == sum(1 for c in full if c not in kept)

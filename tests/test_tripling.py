@@ -1,5 +1,6 @@
 import pytest
 
+from pqvol import tripling
 from pqvol.draconian import enumerate_draconian
 from pqvol.graphs import Graph, canonical_matching, complete_graph, doubling, triangle_extend_set
 from pqvol.tripling import (
@@ -156,3 +157,18 @@ def test_search_accepts_custom_source():
     records = search_triple_recurrence(0, source=[complete_graph(3)])
     assert len(records) == 3
     assert all(r["triples"] for r in records)
+
+
+def test_search_counts_each_base_graph_once(monkeypatch):
+    calls = []
+
+    def counting(d, *args):
+        calls.append(d.n)
+        return enumerate_draconian(d, *args)
+
+    monkeypatch.setattr(tripling, "enumerate_draconian", counting)
+    graphs = [complete_graph(3), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])]
+    records = search_triple_recurrence(0, source=graphs)
+    assert len(records) == 6
+    # one base count per graph, one extended count per edge
+    assert calls == [3, 4, 4, 4, 4, 5, 5, 5]
