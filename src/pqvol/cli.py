@@ -25,6 +25,7 @@ from . import formulas, lost_sequences
 from .draconian import ENGINES, EnumerationCapExceeded, count_draconian, enumerate_draconian
 from .ehrhart import ehrhart_nvol
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     canonical_matching,
     complete_graph,
@@ -112,10 +113,27 @@ def parse_range(text: str, lo_default: int, hi_default: int) -> list[int]:
 
 
 def load_input_graph(args) -> Graph:
+    """The graph named by --graph or --family.
+
+    A family's vertex count is known from its parameters, so a spec over
+    --cap-n (exit 3) or over MAX_VERTICES (exit 2), the bound graph files
+    have, is refused before any edge is built.
+    """
     if getattr(args, "graph", None):
         return load_graph(args.graph)
     if getattr(args, "family", None):
-        return family_graph(*parse_family(args.family))
+        name, params = parse_family(args.family)
+        # matching-triangles:n,m glues one apex per matching edge: n + m vertices
+        size = sum(params) if name == "matching-triangles" else params[0]
+        cap = getattr(args, "cap_n", None)
+        if cap is not None and size > cap:
+            raise EnumerationCapExceeded(
+                f"family {args.family} has {size} vertices, over the cap {cap}; "
+                f"raise --cap-n to force this"
+            )
+        if size > MAX_VERTICES:
+            raise UsageError(f"family {args.family} has {size} vertices, over {MAX_VERTICES}")
+        return family_graph(name, params)
     raise UsageError("give a graph with --graph FILE or --family SPEC")
 
 
@@ -142,7 +160,7 @@ def cmd_count(args) -> int:
                 "--list needs a connected graph: for disconnected input the volume "
                 "is a product over components, not the size of one sequence set"
             )
-        for c in enumerate_draconian(doubling(g), args.engine if args.engine != "auto" else "subset"):
+        for c in enumerate_draconian(doubling(g), args.engine):
             print(" ".join(str(x) for x in c))
         return 0
     report = count_draconian(g, engine=args.engine)
@@ -167,114 +185,100 @@ def cmd_formula(args) -> int:
     return 0
 
 
-def _verify_matching_rows(args, n_values, m_text):
-    rows = []
-    for n in n_values:
-        for m in parse_range(m_text, 0, n // 2):
-            if not 0 <= m <= n // 2:
-                raise UsageError(f"matching size {m} does not fit in {n} vertices")
-            g = family_graph("matching-triangles", (n, m))
-            enum = count_draconian(g).count
-            formula = formulas.nvol_matching_triangles(n, m)
-            partition_holds = None
-            if m >= 1:
-                prev = family_graph("matching-triangles", (n, m - 1))
-                step = verify_partition(prev, (2 * m - 1, 2 * m), matching_mode=True)
-                partition_holds = step.partition_holds
-            rows.append({
-                "n": n,
-                "m": m,
-                "enumeration": str(enum),
-                "formula": str(formula),
-                "formula_matches": enum == formula,
-                "partition_holds": partition_holds,
-                "must_hold": enum == formula and partition_holds in (None, True),
-            })
-    return rows
+def _matching_row(n: int, m: int, cap_n: int) -> dict:
+    formula = formulas.nvol_matching_triangles(n, m)
+    if m == 0:
+        enum, partition_holds = count_draconian(complete_graph(n)).count, None
+    else:
+        # the step's extended graph is matching-triangles (n, m) itself
+        prev = family_graph("matching-triangles", (n, m - 1))
+        step = verify_partition(prev, (2 * m - 1, 2 * m), matching_mode=True)
+        enum, partition_holds = step.extended_count, step.partition_holds
+    return {
+        "n": n,
+        "m": m,
+        "enumeration": str(enum),
+        "formula": str(formula),
+        "formula_matches": enum == formula,
+        "partition_holds": partition_holds,
+        "must_hold": enum == formula and partition_holds in (None, True),
+    }
 
 
-def _verify_path_rows(args, n_values, m_text):
-    rows = []
-    for n in n_values:
-        for m in parse_range(m_text, 2, n - 1):
-            if not 2 <= m < n:
-                raise UsageError(f"path rows need 2 <= m < n, got n = {n}, m = {m}")
-            report = lost_sequences.verify_path_identity(n, m, cap_n=args.cap_n)
-            readings = formulas.nvol_path_deleted(n, m)
-            enum = report.cardinalities["actual"]["deleted_count"]
-            complete = report.cardinalities["actual"]["complete_count"]
-            union = report.cardinalities["actual"]["union"]
-            which = {
-                (True, True): "both",
-                (True, False): "as_printed",
-                (False, True): "grouped",
-                (False, False): "neither",
-            }[(readings.as_printed == enum, readings.grouped == enum)]
-            rows.append({
-                "n": n,
-                "m": m,
-                "enumeration": str(enum),
-                "formula_as_printed": str(readings.as_printed),
-                "formula_grouped": str(readings.grouped),
-                "matching_reading": which,
-                "identity": report.to_dict(),
-                "must_hold": report.identity_holds and enum == complete - union,
-            })
-    return rows
+def _path_row(n: int, m: int, cap_n: int) -> dict:
+    report = lost_sequences.verify_path_identity(n, m, cap_n=cap_n)
+    readings = formulas.nvol_path_deleted(n, m)
+    actual = report.cardinalities["actual"]
+    enum = actual["deleted_count"]
+    which = {
+        (True, True): "both",
+        (True, False): "as_printed",
+        (False, True): "grouped",
+        (False, False): "neither",
+    }[(readings.as_printed == enum, readings.grouped == enum)]
+    return {
+        "n": n,
+        "m": m,
+        "enumeration": str(enum),
+        "formula_as_printed": str(readings.as_printed),
+        "formula_grouped": str(readings.grouped),
+        "matching_reading": which,
+        "identity": report.to_dict(),
+        "must_hold": report.identity_holds and enum == actual["complete_count"] - actual["union"],
+    }
 
 
-def _verify_cycle_rows(args, n_values, m_text):
-    rows = []
-    for n in n_values:
-        for m in parse_range(m_text, 3, n):
-            if not 3 <= m <= n:
-                raise UsageError(f"cycle rows need 3 <= m <= n, got n = {n}, m = {m}")
-            report = lost_sequences.verify_cycle_identity(n, m, cap_n=args.cap_n)
-            formula = formulas.nvol_cycle_deleted(n, m)
-            enum = report.cardinalities["actual"]["deleted_count"]
-            rows.append({
-                "n": n,
-                "m": m,
-                "enumeration": str(enum),
-                "formula": str(formula),
-                "formula_matches": formula == enum,
-                "identity": report.to_dict(),
-                "must_hold": report.identity_holds and bool(report.pairwise_disjoint),
-            })
-    return rows
+def _cycle_row(n: int, m: int, cap_n: int) -> dict:
+    report = lost_sequences.verify_cycle_identity(n, m, cap_n=cap_n)
+    formula = formulas.nvol_cycle_deleted(n, m)
+    enum = report.cardinalities["actual"]["deleted_count"]
+    return {
+        "n": n,
+        "m": m,
+        "enumeration": str(enum),
+        "formula": str(formula),
+        "formula_matches": formula == enum,
+        "identity": report.to_dict(),
+        "must_hold": report.identity_holds and bool(report.pairwise_disjoint),
+    }
+
+
+# family -> (smallest n, valid m range at n, row builder(n, m, cap_n)); the
+# builders' library calls raise ValueError on an m outside that range
+VERIFY_FAMILIES = {
+    "matching-triangles": (2, lambda n: (0, n // 2), _matching_row),
+    "path-deleted": (4, lambda n: (2, n - 1), _path_row),
+    "cycle-deleted": (5, lambda n: (3, n), _cycle_row),
+}
+
+
+def _verify_line(row: dict) -> str:
+    bits = [f"n={row['n']}", f"m={row['m']}", f"enum={row['enumeration']}"]
+    if "formula" in row:
+        bits.append(f"formula={row['formula']}")
+        bits.append("match" if row["formula_matches"] else "MISMATCH")
+    else:
+        bits.append(f"as_printed={row['formula_as_printed']}")
+        bits.append(f"grouped={row['formula_grouped']}")
+        bits.append(f"reading={row['matching_reading']}")
+    if "identity" in row:
+        bits.append("identity=ok" if row["identity"]["identity_holds"] else "identity=FAIL")
+    if row.get("partition_holds") is not None:
+        bits.append("partition=ok" if row["partition_holds"] else "partition=FAIL")
+    bits.append("must_hold=yes" if row["must_hold"] else "MUST-HOLD FAILED")
+    return "  ".join(bits)
 
 
 def cmd_verify(args) -> int:
-    if args.family not in ("matching-triangles", "path-deleted", "cycle-deleted"):
-        raise UsageError(
-            f"verify knows matching-triangles, path-deleted, cycle-deleted; got {args.family!r}"
-        )
-    n_values = parse_range(args.n, 2, args.cap_n)
-    build = {
-        "matching-triangles": _verify_matching_rows,
-        "path-deleted": _verify_path_rows,
-        "cycle-deleted": _verify_cycle_rows,
-    }[args.family]
-    rows = build(args, n_values, args.m)
+    if args.family not in VERIFY_FAMILIES:
+        raise UsageError(f"verify knows {', '.join(VERIFY_FAMILIES)}; got {args.family!r}")
+    smallest, m_range, build = VERIFY_FAMILIES[args.family]
+    rows = [build(n, m, args.cap_n)
+            for n in parse_range(args.n, smallest, args.cap_n)
+            for m in parse_range(args.m, *m_range(n))]
     ok = all(row["must_hold"] for row in rows)
     payload = {"family": args.family, "rows": rows, "all_must_hold": ok}
-    lines = []
-    for row in rows:
-        bits = [f"n={row['n']}", f"m={row['m']}", f"enum={row['enumeration']}"]
-        if "formula" in row:
-            bits.append(f"formula={row['formula']}")
-            bits.append("match" if row["formula_matches"] else "MISMATCH")
-        else:
-            bits.append(f"as_printed={row['formula_as_printed']}")
-            bits.append(f"grouped={row['formula_grouped']}")
-            bits.append(f"reading={row['matching_reading']}")
-        if "identity" in row:
-            bits.append("identity=ok" if row["identity"]["identity_holds"] else "identity=FAIL")
-        if row.get("partition_holds") is not None:
-            bits.append("partition=ok" if row["partition_holds"] else "partition=FAIL")
-        bits.append("must_hold=yes" if row["must_hold"] else "MUST-HOLD FAILED")
-        lines.append("  ".join(bits))
-    emit(args, payload, lines)
+    emit(args, payload, map(_verify_line, rows))
     return 0 if ok else 1
 
 

@@ -7,6 +7,7 @@ tuples are ordered lexicographically throughout the package.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -17,26 +18,25 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"need at least one part, got {parts}")
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
-    c = [0] * parts
-
-    def rec(k: int, remaining: int):
-        if k == parts - 1:
-            c[k] = remaining
-            yield tuple(c)
-            return
-        for v in range(remaining + 1):
-            c[k] = v
-            yield from rec(k + 1, remaining - v)
-
-    yield from rec(0, total)
+    # stars and bars: parts - 1 bars among total + parts - 1 slots, each part
+    # the gap between neighbouring bars; bars in lex order give parts in lex order
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        c = []
+        prev = -1
+        for b in bars:
+            c.append(b - prev - 1)
+            prev = b
+        c.append(slots - prev - 1)
+        yield tuple(c)
 
 
 @dataclass(frozen=True)
 class SequenceSet:
-    """A deduplicated, lexicographically sorted set of length-n integer tuples."""
+    """A deduplicated set of length-n integer tuples, iterated in lexicographic order."""
 
     n: int
-    members: tuple[tuple[int, ...], ...]
+    members: frozenset[tuple[int, ...]]
 
     @classmethod
     def of(cls, n: int, seqs: Iterable[tuple[int, ...]]) -> "SequenceSet":
@@ -48,33 +48,31 @@ class SequenceSet:
             if any(x < 0 for x in t):
                 raise ValueError(f"sequence {t} has a negative entry")
             pool.add(t)
-        return cls(n, tuple(sorted(pool)))
+        return cls(n, frozenset(pool))
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.members)
+        return iter(sorted(self.members))
 
     def __contains__(self, seq) -> bool:
-        return tuple(seq) in set(self.members)
+        return tuple(seq) in self.members
 
-    def _check_peer(self, other: "SequenceSet"):
+    def _peer(self, other: "SequenceSet") -> frozenset[tuple[int, ...]]:
+        """other's members, once its length is checked against ours."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
+        return other.members
 
     def union(self, other: "SequenceSet") -> "SequenceSet":
-        self._check_peer(other)
-        return SequenceSet.of(self.n, set(self.members) | set(other.members))
+        return SequenceSet(self.n, self.members | self._peer(other))
 
     def intersection(self, other: "SequenceSet") -> "SequenceSet":
-        self._check_peer(other)
-        return SequenceSet.of(self.n, set(self.members) & set(other.members))
+        return SequenceSet(self.n, self.members & self._peer(other))
 
     def difference(self, other: "SequenceSet") -> "SequenceSet":
-        self._check_peer(other)
-        return SequenceSet.of(self.n, set(self.members) - set(other.members))
+        return SequenceSet(self.n, self.members - self._peer(other))
 
     def symmetric_difference(self, other: "SequenceSet") -> "SequenceSet":
-        self._check_peer(other)
-        return SequenceSet.of(self.n, set(self.members) ^ set(other.members))
+        return SequenceSet(self.n, self.members ^ self._peer(other))

@@ -59,6 +59,31 @@ def _check_sequence(d: BipartiteDouble, c: Sequence[int]):
         raise ValueError(f"sequence {tuple(c)} has a negative entry")
 
 
+def _join(pairs: list[tuple[int, int]], v: int, m: int) -> bool:
+    """Join an entry of weight v and neighborhood mask m to every subset in pairs.
+
+    pairs holds (weight sum, neighborhood union) per subset; the joined
+    subsets are appended.  On the first joined subset whose weight is
+    not below its union size, pairs is rolled back and False returned.
+    """
+    base = len(pairs)
+    for s, u in pairs[:base]:
+        s += v
+        u |= m
+        if s >= u.bit_count():
+            del pairs[base:]
+            return False
+        pairs.append((s, u))
+    return True
+
+
+def _engine(name: str) -> str:
+    """Check an engine name; auto means subset."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}, expected one of {ENGINES}")
+    return "subset" if name == "auto" else name
+
+
 def is_draconian_subset(d: BipartiteDouble, c: Sequence[int], *,
                         all_subsets: bool = False) -> bool:
     """Subset-inequality test.
@@ -70,20 +95,8 @@ def is_draconian_subset(d: BipartiteDouble, c: Sequence[int], *,
     """
     _check_sequence(d, c)
     idx = range(d.n) if all_subsets else [i for i, v in enumerate(c) if v > 0]
-    # pairs holds (weight sum, neighborhood union) for every subset seen so far
     pairs: list[tuple[int, int]] = [(0, 0)]
-    for i in idx:
-        v = c[i]
-        m = d.masks[i]
-        grown = []
-        for s, u in pairs:
-            s2 = s + v
-            u2 = u | m
-            if s2 >= u2.bit_count():
-                return False
-            grown.append((s2, u2))
-        pairs.extend(grown)
-    return True
+    return all(_join(pairs, c[i], d.masks[i]) for i in idx)
 
 
 def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
@@ -104,14 +117,11 @@ def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
 
 
 def is_draconian(d: BipartiteDouble, c: Sequence[int], engine: str = "auto") -> bool:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    if engine == "auto":
-        # subset pairs double per support element; beyond ~20 the flow
-        # test wins, though nothing in this package gets near that
-        support = sum(1 for v in c if v > 0)
-        engine = "subset" if support <= 20 else "flow"
-    if engine == "subset":
+    # subset pairs double per support element; beyond ~20 the flow
+    # test wins, though nothing in this package gets near that
+    if engine == "auto" and sum(1 for v in c if v > 0) > 20:
+        engine = "flow"
+    if _engine(engine) == "subset":
         return is_draconian_subset(d, c)
     return is_draconian_flow(d, c)
 
@@ -124,13 +134,8 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
     every weak composition through the flow test; it is slower and
     exists as an independent cross-check.
     """
-    if engine == "auto":
-        engine = "subset"
-    if engine == "flow":
-        total = d.n - 1
-        return [c for c in weak_compositions(total, d.n) if is_draconian_flow(d, c)]
-    if engine != "subset":
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if _engine(engine) == "flow":
+        return [c for c in weak_compositions(d.n - 1, d.n) if is_draconian_flow(d, c)]
 
     n = d.n
     total = n - 1
@@ -159,16 +164,7 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
         for v in range(low, high + 1):
             # if any subset fails at weight v it fails at every larger v
             base = len(pairs)
-            ok = True
-            for s, u in pairs[:base]:
-                s2 = s + v
-                u2 = u | m
-                if s2 >= u2.bit_count():
-                    ok = False
-                    break
-                pairs.append((s2, u2))
-            if not ok:
-                del pairs[base:]
+            if not _join(pairs, v, m):
                 break
             c[k] = v
             place(k + 1, remaining - v)
@@ -210,9 +206,7 @@ def count_draconian(g: Graph, engine: str = "auto") -> VolumeReport:
     that this product rule was applied.  An isolated vertex contributes
     a factor 1 (its component polytope is a single point).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    resolved = "subset" if engine == "auto" else engine
+    resolved = _engine(engine)
     start = time.perf_counter()
     comps = connected_components(g)
     count = 1

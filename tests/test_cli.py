@@ -10,7 +10,10 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
+from pqvol import cli, draconian, tripling
 from pqvol.cli import main
+from pqvol.draconian import enumerate_draconian
+from pqvol.graphs import MAX_VERTICES
 
 SCHEMA = json.loads((files("pqvol") / "schemas" / "report.schema.json").read_text())
 
@@ -80,6 +83,22 @@ def test_count_cap(capsys):
     code, out, _ = run(capsys, "count", "--family", "complete:11", "--cap-n", "11")
     assert code == 0
     assert json.loads(out)["count"] == "184756"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["count", "--family", "complete:100000"], 3),
+    (["count", "--family", "matching-triangles:8,2", "--cap-n", "9"], 3),
+    (["ehrhart", "--family", "complete:100000"], 3),
+    (["recurrence", "--family", f"complete:{MAX_VERTICES + 1}", "--edge", "1,2"], 2),
+], ids=["count", "count-matching", "ehrhart", "recurrence"])
+def test_family_spec_refused_before_any_edge_is_built(monkeypatch, capsys, argv, want):
+    def unbuildable(name, params):
+        raise AssertionError(f"{name}:{params} was built")
+
+    monkeypatch.setattr(cli, "family_graph", unbuildable)
+    code, out, err = run(capsys, *argv)
+    assert code == want and out == ""
+    assert err.startswith("error:")
 
 
 def test_count_byte_identical_runs(capsys):
@@ -183,6 +202,39 @@ def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--family", "path-deleted", "--n", "5", "--m", "9..2")
     assert code == 2
     assert "range" in err
+
+
+@pytest.mark.parametrize("family, n, m", [
+    ("matching-triangles", "5", "3"), ("matching-triangles", "5", "-1"),
+    ("path-deleted", "6", "1"), ("path-deleted", "6", "6"),
+    ("cycle-deleted", "6", "2"), ("cycle-deleted", "6", "7"),
+])
+def test_verify_m_out_of_range(capsys, family, n, m):
+    code, out, err = run(capsys, "verify", "--family", family, "--n", n, "--m", m)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("family, first", [("cycle-deleted", 5), ("path-deleted", 4),
+                                           ("matching-triangles", 2)])
+def test_verify_open_n_range_starts_at_family_minimum(capsys, family, first):
+    payload = run_json(capsys, "verify", "--family", family, "--n", "..6")
+    assert payload["rows"][0]["n"] == first
+    assert payload["rows"][-1]["n"] == 6
+
+
+def test_verify_matching_reuses_the_step_count(monkeypatch, capsys):
+    calls = []
+
+    def counting(d, *args):
+        calls.append(d.n)
+        return enumerate_draconian(d, *args)
+
+    monkeypatch.setattr(draconian, "enumerate_draconian", counting)
+    monkeypatch.setattr(tripling, "enumerate_draconian", counting)
+    run_json(capsys, "verify", "--family", "matching-triangles", "--n", "4..5")
+    # m = 0 counts K_n; each m >= 1 row counts its base and its extension once
+    assert calls == [4, 4, 5, 5, 6, 5, 5, 6, 6, 7]
 
 
 def test_ehrhart_command(capsys):

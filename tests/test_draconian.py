@@ -4,6 +4,7 @@ import random
 import pytest
 from oracle import brute_draconian, random_graph
 
+from pqvol.combinat import weak_compositions
 from pqvol.draconian import (
     count_draconian,
     enumerate_draconian,
@@ -114,6 +115,8 @@ def test_flow_engine_enumerates_identically():
         assert enumerate_draconian(d, engine="flow") == enumerate_draconian(d, engine="subset")
     with pytest.raises(ValueError):
         enumerate_draconian(doubling(complete_graph(3)), engine="magic")
+    with pytest.raises(ValueError):
+        count_draconian(complete_graph(3), engine="magic")
 
 
 def test_frozen_family_counts():
@@ -196,6 +199,16 @@ def test_enumeration_result_is_freed_without_a_gc_pass():
     gc.disable()
     try:
         enumerate_draconian(d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_weak_compositions_leave_nothing_for_the_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(weak_compositions(8, 9))) == 12870
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,7 +1,9 @@
 """Byte-identity of CLI output across changes.
 
 Each digest is the sha256 of stdout for one command, recorded together
-with its exit code before graphs carried adjacency bitmasks.  A
+with its exit code before the refactor it guards: the first six before
+graphs carried adjacency bitmasks, the rest before the subset kernel,
+the engine check and the verify rows were each written once.  A
 refactor that changes any byte of these outputs, or an exit code,
 fails here.
 """
@@ -25,6 +27,14 @@ GOLDEN = [
      "f1c421fe4d1f90925a383fdb58770d132c4ada5dfeb0cd881226d841b5322c6a"),
     (["ehrhart", "--family", "complete:3"], 0,
      "80a1d54de4116c7e296cc1de96999bba62e13a03e6da8b91f3309b6bdd1155bb"),
+    (["count", "--family", "cycle-deleted:6,4", "--list", "--engine", "flow"], 0,
+     "3cf19c7745c306e07fe41168f5b3995e0a8d82f153f55018274989b9d10a8f8a"),
+    (["verify", "--family", "cycle-deleted", "--n", "5..7", "--table"], 0,
+     "56bbab114f0cf5b4a6c7ad496739b0d8f59fa1eb841a4a4698227700344f2230"),
+    (["verify", "--family", "path-deleted", "--n", "4..7", "--table"], 0,
+     "78aca0081492c2b549c3b2e1f6ffb39d4783041452ae29cb4b24a53e2ff319b5"),
+    (["verify", "--family", "matching-triangles", "--n", "4..5", "--table"], 0,
+     "abf10eee6c81d183499e5944a463b9163f631181db68aa48d9b3f06cd535c819"),
 ]
 
 
