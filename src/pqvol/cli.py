@@ -47,7 +47,13 @@ class UsageError(ValueError):
     """Bad family spec, range, or precondition; maps to exit code 2."""
 
 
-def parse_family(spec: str) -> tuple[str, tuple[int, ...]]:
+def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...]]:
+    """Name and parameters of a family spec.
+
+    A family's vertex count is known from its parameters, so a spec over
+    cap (exit 3) or over MAX_VERTICES (exit 2), the bound graph files
+    have, is refused before any edge is built or closed form evaluated.
+    """
     name, _, tail = spec.partition(":")
     if name not in FAMILIES:
         raise UsageError(f"unknown family {name!r}, expected one of {FAMILIES}")
@@ -61,6 +67,14 @@ def parse_family(spec: str) -> tuple[str, tuple[int, ...]]:
     want = 1 if name == "complete" else 2
     if len(params) != want:
         raise UsageError(f"family {name} takes {want} parameter(s), got {len(params)}")
+    # matching-triangles:n,m glues one apex per matching edge: n + m vertices
+    size = sum(params) if name == "matching-triangles" else params[0]
+    if cap is not None and size > cap:
+        raise EnumerationCapExceeded(
+            f"family {spec} has {size} vertices, over the cap {cap}; raise --cap-n to force this"
+        )
+    if size > MAX_VERTICES:
+        raise UsageError(f"family {spec} has {size} vertices, over {MAX_VERTICES}")
     return name, params
 
 
@@ -95,13 +109,13 @@ def positive_int(text: str) -> int:
     return value
 
 
-def parse_range(text: str, lo_default: int, hi_default: int) -> list[int]:
+def parse_range(text: str, lo_default: int, hi_default: int) -> range:
     """A value 'k' or an inclusive range 'a..b'; either end may be omitted."""
     text = text.strip()
     try:
         if ".." not in text:
             k = int(text)
-            return [k]
+            return range(k, k + 1)
         lo_s, hi_s = text.split("..", 1)
         lo = int(lo_s) if lo_s else lo_default
         hi = int(hi_s) if hi_s else hi_default
@@ -109,31 +123,15 @@ def parse_range(text: str, lo_default: int, hi_default: int) -> list[int]:
         raise UsageError(f"expected an integer or a range a..b, got {text!r}")
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def load_input_graph(args) -> Graph:
-    """The graph named by --graph or --family.
-
-    A family's vertex count is known from its parameters, so a spec over
-    --cap-n (exit 3) or over MAX_VERTICES (exit 2), the bound graph files
-    have, is refused before any edge is built.
-    """
+    """The graph named by --graph or --family, a family bounded by parse_family."""
     if getattr(args, "graph", None):
         return load_graph(args.graph)
     if getattr(args, "family", None):
-        name, params = parse_family(args.family)
-        # matching-triangles:n,m glues one apex per matching edge: n + m vertices
-        size = sum(params) if name == "matching-triangles" else params[0]
-        cap = getattr(args, "cap_n", None)
-        if cap is not None and size > cap:
-            raise EnumerationCapExceeded(
-                f"family {args.family} has {size} vertices, over the cap {cap}; "
-                f"raise --cap-n to force this"
-            )
-        if size > MAX_VERTICES:
-            raise UsageError(f"family {args.family} has {size} vertices, over {MAX_VERTICES}")
-        return family_graph(name, params)
+        return family_graph(*parse_family(args.family, getattr(args, "cap_n", None)))
     raise UsageError("give a graph with --graph FILE or --family SPEC")
 
 
@@ -273,9 +271,9 @@ def cmd_verify(args) -> int:
     if args.family not in VERIFY_FAMILIES:
         raise UsageError(f"verify knows {', '.join(VERIFY_FAMILIES)}; got {args.family!r}")
     smallest, m_range, build = VERIFY_FAMILIES[args.family]
-    rows = [build(n, m, args.cap_n)
-            for n in parse_range(args.n, smallest, args.cap_n)
-            for m in parse_range(args.m, *m_range(n))]
+    ns = parse_range(args.n, smallest, args.cap_n)
+    lost_sequences.check_cap(ns[-1], args.cap_n)
+    rows = [build(n, m, args.cap_n) for n in ns for m in parse_range(args.m, *m_range(n))]
     ok = all(row["must_hold"] for row in rows)
     payload = {"family": args.family, "rows": rows, "all_must_hold": ok}
     emit(args, payload, map(_verify_line, rows))

@@ -19,6 +19,11 @@ flow test instead asks, for every i, whether c + e_i can be routed
 into distinct right vertices of D(G); by Hall's theorem this routes
 exactly when every S satisfies sum(c + e_i over S) <= |N(S)|, and
 quantifying over i turns the non-strict bound into the strict one.
+
+The subset test keeps only the heaviest subset per neighborhood union.
+Two subsets with one union still share a union after the same vertices
+join both, so the heavier one breaks an inequality whenever the lighter
+one does.  For K_n the state has at most two entries.
 """
 
 from __future__ import annotations
@@ -59,22 +64,23 @@ def _check_sequence(d: BipartiteDouble, c: Sequence[int]):
         raise ValueError(f"sequence {tuple(c)} has a negative entry")
 
 
-def _join(pairs: list[tuple[int, int]], v: int, m: int) -> bool:
-    """Join an entry of weight v and neighborhood mask m to every subset in pairs.
+def _join(state: dict[int, int], v: int, m: int) -> dict[int, int] | None:
+    """Join an entry of weight v and neighborhood mask m to every subset in state.
 
-    pairs holds (weight sum, neighborhood union) per subset; the joined
-    subsets are appended.  On the first joined subset whose weight is
-    not below its union size, pairs is rolled back and False returned.
+    state maps each neighborhood union to the largest weight of a subset
+    with that union ({0: 0} is the empty set alone; why that is exact is
+    in the module docstring).  Returns the grown state, or None at the
+    first joined subset whose weight is not below its union size.
     """
-    base = len(pairs)
-    for s, u in pairs[:base]:
+    out = dict(state)
+    for u, s in state.items():
         s += v
         u |= m
         if s >= u.bit_count():
-            del pairs[base:]
-            return False
-        pairs.append((s, u))
-    return True
+            return None
+        if out.get(u, -1) < s:
+            out[u] = s
+    return out
 
 
 def _engine(name: str) -> str:
@@ -88,15 +94,15 @@ def is_draconian_subset(d: BipartiteDouble, c: Sequence[int], *,
                         all_subsets: bool = False) -> bool:
     """Subset-inequality test.
 
-    By default only subsets of the support of c are examined, which is
-    equivalent to the definition.  all_subsets=True walks every one of
-    the 2^n - 1 nonempty subsets; it exists as the literal reference
-    and for spot checks, not for production use.
+    By default only the vertices in the support of c are joined, which
+    is equivalent to the definition.  all_subsets=True joins every
+    vertex, zero entries included, so every nonempty subset takes part
+    in the state; it is the literal reference for that equivalence.
     """
     _check_sequence(d, c)
     idx = range(d.n) if all_subsets else [i for i, v in enumerate(c) if v > 0]
-    pairs: list[tuple[int, int]] = [(0, 0)]
-    return all(_join(pairs, c[i], d.masks[i]) for i in idx)
+    state = {0: 0}
+    return all((state := _join(state, c[i], d.masks[i])) is not None for i in idx)
 
 
 def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
@@ -117,10 +123,6 @@ def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
 
 
 def is_draconian(d: BipartiteDouble, c: Sequence[int], engine: str = "auto") -> bool:
-    # subset pairs double per support element; beyond ~20 the flow
-    # test wins, though nothing in this package gets near that
-    if engine == "auto" and sum(1 for v in c if v > 0) > 20:
-        engine = "flow"
     if _engine(engine) == "subset":
         return is_draconian_subset(d, c)
     return is_draconian_flow(d, c)
@@ -147,9 +149,8 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
 
     out: list[tuple[int, ...]] = []
     c = [0] * n
-    pairs: list[tuple[int, int]] = [(0, 0)]
 
-    def place(k: int, remaining: int):
+    def place(k: int, remaining: int, state: dict[int, int]):
         if k == n:
             if remaining == 0:
                 out.append(tuple(c))
@@ -158,20 +159,18 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
         high = min(caps[k], remaining)
         if low == 0 and low <= high:
             c[k] = 0
-            place(k + 1, remaining)
+            place(k + 1, remaining, state)
             low = 1
         m = d.masks[k]
         for v in range(low, high + 1):
             # if any subset fails at weight v it fails at every larger v
-            base = len(pairs)
-            if not _join(pairs, v, m):
+            if (grown := _join(state, v, m)) is None:
                 break
             c[k] = v
-            place(k + 1, remaining - v)
-            del pairs[base:]
+            place(k + 1, remaining - v, grown)
         c[k] = 0
 
-    place(0, total)
+    place(0, total, {0: 0})
     # place's closure refers to itself: break the cycle so out is freed without a GC pass
     del place
     return out

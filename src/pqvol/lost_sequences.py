@@ -174,7 +174,8 @@ def _compare(deleted: Graph, families: dict) -> tuple[dict, SequenceSet]:
     return actual, lost.symmetric_difference(union)
 
 
-def _check_cap(n: int, cap_n: int):
+def check_cap(n: int, cap_n: int):
+    """Refuse an n over the enumeration cap (exit 3 on the command line)."""
     if n > cap_n:
         raise EnumerationCapExceeded(
             f"n = {n} exceeds the enumeration cap {cap_n}; raise cap_n to force this"
@@ -184,7 +185,7 @@ def _check_cap(n: int, cap_n: int):
 def verify_path_identity(n: int, m: int, cap_n: int = 9) -> IdentityReport:
     """Does heavy-union-split equal the sequences lost by deleting the path?"""
     _check_path_params(n, m)
-    _check_cap(n, cap_n)
+    check_cap(n, cap_n)
     heavy = path_heavy_exceptions(n, m)
     split = path_split_exceptions(n, m)
     actual, diff = _compare(delete_path(n, m), {"heavy": heavy, "split": split})
@@ -204,7 +205,7 @@ def verify_cycle_identity(n: int, m: int, cap_n: int = 9) -> IdentityReport:
     of the deduplicated families is checked alongside the identity.
     """
     _check_cycle_params(n, m)
-    _check_cap(n, cap_n)
+    check_cap(n, cap_n)
     families = {"heavy": cycle_heavy_exceptions(n, m), "split": cycle_split_exceptions(n, m)}
     if m == 4:
         families["triple"] = cycle_triple_exceptions(n, m)

@@ -75,6 +75,18 @@ def brute_transportation(allowed, row_sums, col_sums):
     return fill(0, tuple(col_sums))
 
 
+def components(n, edges):
+    """Vertex blocks by repeated merging over the edge list."""
+    label = list(range(n + 1))
+    for _ in range(n):
+        for u, v in edges:
+            label[u] = label[v] = min(label[u], label[v])
+    blocks = {}
+    for v in range(1, n + 1):
+        blocks.setdefault(label[v], []).append(v)
+    return sorted(tuple(b) for b in blocks.values())
+
+
 def random_graph(rng, n, p=0.5):
     """Edge list of a random graph on 1..n with edge probability p."""
     return [

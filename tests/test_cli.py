@@ -159,6 +159,42 @@ def test_formula_range_errors(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec, want", [
+    (f"complete:{MAX_VERTICES}", 0), (f"complete:{MAX_VERTICES + 1}", 2),
+    ("matching-triangles:2732,1365", 2),
+])
+def test_formula_bounded_by_vertex_count(monkeypatch, capsys, spec, want):
+    if want:
+        def unevaluable(name, params):
+            raise AssertionError(f"{name}:{params} was evaluated")
+
+        monkeypatch.setattr(cli, "family_formula_values", unevaluable)
+    code, out, err = run(capsys, "formula", "--family", spec)
+    assert code == want, err
+    if want:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert json.loads(out)["values"]["value"]
+
+
+@pytest.mark.parametrize("family, n, m, cap, want", [
+    ("matching-triangles", "5", "..", "4", 3),
+    ("cycle-deleted", "5..1000000000", "..", "9", 3),
+    ("matching-triangles", "4", "0..1000000000", "9", 2),
+])
+def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, want):
+    if want == 3:
+        def unbuildable(n, m, cap_n):
+            raise AssertionError(f"row n={n} m={m} was built")
+
+        smallest, m_range, _ = cli.VERIFY_FAMILIES[family]
+        monkeypatch.setitem(cli.VERIFY_FAMILIES, family, (smallest, m_range, unbuildable))
+    code, out, err = run(capsys, "verify", "--family", family, "--n", n, "--m", m,
+                         "--cap-n", cap)
+    assert code == want and out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_matching(capsys):
     payload = run_json(capsys, "verify", "--family", "matching-triangles",
                        "--n", "4", "--m", "0..2")

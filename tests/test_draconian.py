@@ -2,10 +2,11 @@ import gc
 import random
 
 import pytest
-from oracle import brute_draconian, random_graph
+from oracle import brute_draconian, components, compositions, random_graph
 
 from pqvol.combinat import weak_compositions
 from pqvol.draconian import (
+    ENGINES,
     count_draconian,
     enumerate_draconian,
     is_draconian,
@@ -107,6 +108,29 @@ def test_enumeration_matches_brute_force_random():
         g = Graph.from_edges(n, random_graph(rng, n))
         want = brute_draconian(g.n, g.sorted_edges())
         assert set(enumerate_draconian(doubling(g))) == want, g.descriptor()
+
+
+@pytest.mark.parametrize("p", (0.3, 0.6, 0.9))
+def test_every_counting_path_matches_the_oracle(p):
+    # sparse to near-complete: dense graphs are where neighborhood unions merge
+    rng = random.Random(f"oracle:{p}")
+    for n in (1, 2, 3, 4, 4, 5, 5, 6, 6, 7):
+        edges = random_graph(rng, n, p)
+        g = Graph.from_edges(n, edges)
+        d = doubling(g)
+        want = sorted(brute_draconian(n, edges))
+        members = set(want)
+        volume = 1
+        for block in components(n, edges):
+            index = {v: k for k, v in enumerate(block, 1)}
+            volume *= len(brute_draconian(
+                len(block), [(index[u], index[v]) for u, v in edges if u in index]))
+        for engine in ENGINES:
+            assert enumerate_draconian(d, engine) == want, (g.descriptor(), engine)
+            assert count_draconian(g, engine).count == volume, (g.descriptor(), engine)
+        for c in compositions(n - 1, n):
+            assert is_draconian_subset(d, c) == (c in members), (g.descriptor(), c)
+            assert is_draconian_subset(d, c, all_subsets=True) == (c in members)
 
 
 def test_flow_engine_enumerates_identically():

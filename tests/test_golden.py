@@ -2,10 +2,11 @@
 
 Each digest is the sha256 of stdout for one command, recorded together
 with its exit code before the refactor it guards: the first six before
-graphs carried adjacency bitmasks, the rest before the subset kernel,
-the engine check and the verify rows were each written once.  A
-refactor that changes any byte of these outputs, or an exit code,
-fails here.
+graphs carried adjacency bitmasks, the next four before the subset
+kernel, the engine check and the verify rows were each written once,
+and the last two before the subset state kept one entry per
+neighborhood union.  A refactor that changes any byte of these
+outputs, or an exit code, fails here.
 """
 
 import hashlib
@@ -35,6 +36,11 @@ GOLDEN = [
      "78aca0081492c2b549c3b2e1f6ffb39d4783041452ae29cb4b24a53e2ff319b5"),
     (["verify", "--family", "matching-triangles", "--n", "4..5", "--table"], 0,
      "abf10eee6c81d183499e5944a463b9163f631181db68aa48d9b3f06cd535c819"),
+    (["count", "--family", "matching-triangles:6,2", "--list"], 0,
+     "0efa59b2c7eace7dc3586b053d4c5c6b3f84889f3ae7b5f3842ac0cd09cc3c5a"),
+    # the partition sets' sizes, containments and injectivity
+    (["recurrence", "--family", "cycle-deleted:6,4", "--edge", "1,2"], 0,
+     "76cb50f496424ca77c076a5bf9f71cb034322ecf7d78b6c80ecd1cafc6241713"),
 ]
 
 

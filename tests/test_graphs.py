@@ -2,7 +2,7 @@ import pickle
 import random
 
 import pytest
-from oracle import double_neighborhoods, random_graph
+from oracle import components, double_neighborhoods, random_graph
 
 from pqvol.graphs import (
     MAX_VERTICES,
@@ -198,18 +198,6 @@ def test_adjacency_readers_do_not_scan_the_edge_set():
     assert parts[0].graph.edges == {(1, 2), (2, 3)}
 
 
-def _reference_components(n, edges):
-    """Vertex blocks by repeated merging over the edge list."""
-    label = list(range(n + 1))
-    for _ in range(n):
-        for u, v in edges:
-            label[u] = label[v] = min(label[u], label[v])
-    blocks = {}
-    for v in range(1, n + 1):
-        blocks.setdefault(label[v], []).append(v)
-    return sorted(tuple(b) for b in blocks.values())
-
-
 def test_masks_match_edge_based_reference_random():
     rng = random.Random(2202)
     for _ in range(150):
@@ -223,7 +211,7 @@ def test_masks_match_edge_based_reference_random():
             assert g.degree(v) == len(nbrs[v]) - 1
             assert d.neighborhood(v) == nbrs[v]
         parts = connected_components(g)
-        assert [p.vertices for p in parts] == _reference_components(n, g.edges)
+        assert [p.vertices for p in parts] == components(n, g.edges)
         for p in parts:
             back = {(p.vertices[a - 1], p.vertices[b - 1]) for a, b in p.graph.edges}
             assert back == {e for e in g.edges if e[0] in p.vertices}
