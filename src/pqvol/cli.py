@@ -40,7 +40,6 @@ from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_pa
 
 FAMILIES = ("complete", "matching-triangles", "path-deleted", "cycle-deleted")
 DEFAULT_COUNT_CAP = 10
-SEARCH_MAX = 8
 
 
 class UsageError(ValueError):
@@ -241,8 +240,8 @@ def _cycle_row(n: int, m: int, cap_n: int) -> dict:
     }
 
 
-# family -> (smallest n, valid m range at n, row builder(n, m, cap_n)); the
-# builders' library calls raise ValueError on an m outside that range
+# family -> (smallest n, valid m range at n, row builder(n, m, cap_n));
+# cmd_verify refuses an m outside that range before any row is built
 VERIFY_FAMILIES = {
     "matching-triangles": (2, lambda n: (0, n // 2), _matching_row),
     "path-deleted": (4, lambda n: (2, n - 1), _path_row),
@@ -273,7 +272,13 @@ def cmd_verify(args) -> int:
     smallest, m_range, build = VERIFY_FAMILIES[args.family]
     ns = parse_range(args.n, smallest, args.cap_n)
     lost_sequences.check_cap(ns[-1], args.cap_n)
-    rows = [build(n, m, args.cap_n) for n in ns for m in parse_range(args.m, *m_range(n))]
+    ms = {}
+    for n in ns:
+        lo, hi = m_range(n)
+        ms[n] = parse_range(args.m, lo, hi)
+        if ms[n][0] < lo or ms[n][-1] > hi:
+            raise UsageError(f"--m {args.m} is outside {lo}..{hi} at n = {n}")
+    rows = [build(n, m, args.cap_n) for n in ns for m in ms[n]]
     ok = all(row["must_hold"] for row in rows)
     payload = {"family": args.family, "rows": rows, "all_must_hold": ok}
     emit(args, payload, map(_verify_line, rows))
@@ -321,8 +326,6 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n_max > SEARCH_MAX:
-        raise UsageError(f"search is exhaustive; --n-max is capped at {SEARCH_MAX}")
     records = search_triple_recurrence(args.n_max, jobs=args.jobs)
     forbidden = [r for r in records if r["hypotheses_hold"] and not r["triples"]]
     if args.table:

@@ -170,7 +170,10 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
             place(k + 1, remaining - v, grown)
         c[k] = 0
 
-    place(0, total, {0: 0})
+    try:
+        place(0, total, {0: 0})
+    except RecursionError:
+        raise EnumerationCapExceeded(f"n = {n}: the enumerator recurses once per vertex") from None
     # place's closure refers to itself: break the cycle so out is freed without a GC pass
     del place
     return out

@@ -141,7 +141,7 @@ def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP, jobs: int = 1,
         raise ValueError("the geometric oracle only handles connected graphs")
     if g.n > cap_n:
         raise EnumerationCapExceeded(
-            f"n = {g.n} exceeds the dilate-counting cap {cap_n}; raise cap_n to force this"
+            f"n = {g.n} exceeds the dilate-counting cap {cap_n}; raise --cap-n to force this"
         )
     d = affine_dimension(polytope_vertices(g))
     counts = tuple(count_dilate_points(g, t, jobs=jobs) for t in range(d + 1 + extra_dilates))

@@ -178,7 +178,7 @@ def check_cap(n: int, cap_n: int):
     """Refuse an n over the enumeration cap (exit 3 on the command line)."""
     if n > cap_n:
         raise EnumerationCapExceeded(
-            f"n = {n} exceeds the enumeration cap {cap_n}; raise cap_n to force this"
+            f"n = {n} exceeds the enumeration cap {cap_n}; raise --cap-n to force this"
         )
 
 

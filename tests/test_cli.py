@@ -79,7 +79,7 @@ def test_count_list_rejects_disconnected(capsys, tmp_path):
 def test_count_cap(capsys):
     code, _, err = run(capsys, "count", "--family", "complete:12")
     assert code == 3
-    assert "cap" in err
+    assert "raise --cap-n" in err
     code, out, _ = run(capsys, "count", "--family", "complete:11", "--cap-n", "11")
     assert code == 0
     assert json.loads(out)["count"] == "184756"
@@ -181,18 +181,20 @@ def test_formula_bounded_by_vertex_count(monkeypatch, capsys, spec, want):
     ("matching-triangles", "5", "..", "4", 3),
     ("cycle-deleted", "5..1000000000", "..", "9", 3),
     ("matching-triangles", "4", "0..1000000000", "9", 2),
+    ("matching-triangles", "8", "0..1000000000", "9", 2),
+    ("path-deleted", "5..6", "1..3", "9", 2),
 ])
 def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, want):
-    if want == 3:
-        def unbuildable(n, m, cap_n):
-            raise AssertionError(f"row n={n} m={m} was built")
+    def unbuildable(n, m, cap_n):
+        raise AssertionError(f"row n={n} m={m} was built")
 
-        smallest, m_range, _ = cli.VERIFY_FAMILIES[family]
-        monkeypatch.setitem(cli.VERIFY_FAMILIES, family, (smallest, m_range, unbuildable))
+    smallest, m_range, _ = cli.VERIFY_FAMILIES[family]
+    monkeypatch.setitem(cli.VERIFY_FAMILIES, family, (smallest, m_range, unbuildable))
     code, out, err = run(capsys, "verify", "--family", family, "--n", n, "--m", m,
                          "--cap-n", cap)
     assert code == want and out == ""
     assert err.startswith("error:")
+    assert ("--cap-n" if want == 3 else "--m") in err
 
 
 def test_verify_matching(capsys):
@@ -273,13 +275,18 @@ def test_verify_matching_reuses_the_step_count(monkeypatch, capsys):
     assert calls == [4, 4, 5, 5, 6, 5, 5, 6, 6, 7]
 
 
-def test_ehrhart_command(capsys):
+def test_ehrhart_command(capsys, tmp_path):
     payload = run_json(capsys, "ehrhart", "--family", "complete:2")
     assert payload["counts"] == [1, 4, 9]
     assert payload["nvol"] == "2"
     code, _, err = run(capsys, "ehrhart", "--family", "complete:5")
     assert code == 3
-    assert "cap" in err
+    assert "--cap-n" in err
+    path = tmp_path / "p5.txt"
+    path.write_text("5\n1 2\n2 3\n3 4\n4 5\n")
+    code, out, err = run(capsys, "ehrhart", "--graph", str(path))
+    assert code == 3 and out == ""
+    assert "--cap-n" in err
 
 
 def test_recurrence_command(capsys):
@@ -293,6 +300,25 @@ def test_recurrence_command(capsys):
     assert code == 2
 
 
+STAR_CENTRE_LAST = "1100\n" + "".join(f"{i} 1100\n" for i in range(1, 1100))
+
+
+@pytest.mark.parametrize("argv, text, want", [
+    (["recurrence", "--edge", "1,1100"], STAR_CENTRE_LAST, 3),
+    (["count", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
+    (["recurrence", "--edge", "1,2"], "1500\n1 2\n", 0),
+], ids=["recurrence-star", "count-star", "recurrence-one-edge"])
+def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text, want):
+    # the enumerator recurses once per vertex while entries stay in play: every
+    # leaf of a star does, the isolated vertices of the one-edge graph do not
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--graph", str(path))
+    assert code == want, err
+    if want:
+        assert out == "" and err.startswith("error:") and "recurses" in err
+
+
 def test_search_json_lines(capsys):
     code, out, err = run(capsys, "search", "--n-max", "3")
     assert code == 0, err
@@ -302,6 +328,7 @@ def test_search_json_lines(capsys):
         jsonschema.validate(json.loads(line), SCHEMA)
     code, _, err = run(capsys, "search", "--n-max", "9")
     assert code == 2
+    assert "capped at 8" in err
 
 
 def test_search_deterministic_across_jobs(capsys):

@@ -4,8 +4,9 @@ Each digest is the sha256 of stdout for one command, recorded together
 with its exit code before the refactor it guards: the first six before
 graphs carried adjacency bitmasks, the next four before the subset
 kernel, the engine check and the verify rows were each written once,
-and the last two before the subset state kept one entry per
-neighborhood union.  A refactor that changes any byte of these
+the next two before the subset state kept one entry per neighborhood
+union, and the last one before the graph stream marked every
+relabeling of a class seen.  A refactor that changes any byte of these
 outputs, or an exit code, fails here.
 """
 
@@ -41,6 +42,9 @@ GOLDEN = [
     # the partition sets' sizes, containments and injectivity
     (["recurrence", "--family", "cycle-deleted:6,4", "--edge", "1,2"], 0,
      "76cb50f496424ca77c076a5bf9f71cb034322ecf7d78b6c80ecd1cafc6241713"),
+    # the representative and the order of all 112 six-vertex classes
+    (["search", "--n-max", "6"], 0,
+     "eaddf2132dd293eeaee54d38e8ea01ee00bcf968a18e7e8c5d62deb811bbfb26"),
 ]
 
 

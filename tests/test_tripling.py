@@ -124,13 +124,28 @@ def test_hypotheses():
 
 
 def test_graph_stream_counts_isomorphism_classes():
-    # connected graphs up to isomorphism: 1 on 2 vertices, 2 on 3, 6 on 4
+    # connected graphs up to isomorphism (OEIS A001349)
     sizes = {}
-    for g in connected_graph_stream(4):
+    for g in connected_graph_stream(6):
         sizes[g.n] = sizes.get(g.n, 0) + 1
-    assert sizes == {2: 1, 3: 2, 4: 6}
+    assert sizes == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     with pytest.raises(ValueError):
         list(connected_graph_stream(9))
+
+
+def test_graph_stream_canonicalizes_each_class_once(monkeypatch):
+    calls = []
+    canonical = tripling._canonical_encoding
+
+    def counting(g):
+        calls.append(g)
+        return canonical(g)
+
+    monkeypatch.setattr(tripling, "_canonical_encoding", counting)
+    graphs = list(connected_graph_stream(5))
+    # 1 + 2 + 6 + 21 connected classes, not one call per connected labelled graph
+    assert len(calls) == len(graphs) == 30
+    assert sorted(calls, key=canonical) == graphs
 
 
 def test_search_classes_small():
