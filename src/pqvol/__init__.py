@@ -15,10 +15,8 @@ from .draconian import (
     VolumeReport,
     count_draconian,
     enumerate_draconian,
-    is_draconian,
     is_draconian_flow,
     is_draconian_subset,
-    neighborhood_union_size,
 )
 from .ehrhart import EhrhartTable, affine_dimension, ehrhart_nvol, is_in_dilate, polytope_vertices
 from .formulas import (
@@ -96,7 +94,6 @@ __all__ = [
     "doubling",
     "ehrhart_nvol",
     "enumerate_draconian",
-    "is_draconian",
     "is_draconian_flow",
     "is_draconian_subset",
     "is_in_dilate",
@@ -104,7 +101,6 @@ __all__ = [
     "lift_one",
     "lift_resolve",
     "load_graph",
-    "neighborhood_union_size",
     "nvol_complete",
     "nvol_cycle_deleted",
     "nvol_matching_triangles",

@@ -22,8 +22,14 @@ import sys
 from fractions import Fraction
 
 from . import formulas, lost_sequences
-from .draconian import ENGINES, EnumerationCapExceeded, count_draconian, enumerate_draconian
-from .ehrhart import ehrhart_nvol
+from .draconian import (
+    ENGINES,
+    EnumerationCapExceeded,
+    check_cap,
+    count_draconian,
+    enumerate_draconian,
+)
+from .ehrhart import DEFAULT_DILATE_CAP, ehrhart_nvol
 from .graphs import (
     MAX_VERTICES,
     Graph,
@@ -68,10 +74,8 @@ def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...
         raise UsageError(f"family {name} takes {want} parameter(s), got {len(params)}")
     # matching-triangles:n,m glues one apex per matching edge: n + m vertices
     size = sum(params) if name == "matching-triangles" else params[0]
-    if cap is not None and size > cap:
-        raise EnumerationCapExceeded(
-            f"family {spec} has {size} vertices, over the cap {cap}; raise --cap-n to force this"
-        )
+    if cap is not None:
+        check_cap(f"family {spec}", size, cap)
     if size > MAX_VERTICES:
         raise UsageError(f"family {spec} has {size} vertices, over {MAX_VERTICES}")
     return name, params
@@ -145,12 +149,7 @@ def emit(args, payload: dict, table_lines) -> None:
 def cmd_count(args) -> int:
     g = load_input_graph(args)
     comps = connected_components(g)
-    biggest = max(part.graph.n for part in comps)
-    if biggest > args.cap_n:
-        raise EnumerationCapExceeded(
-            f"largest component has {biggest} vertices, over the cap {args.cap_n}; "
-            f"raise --cap-n to force this"
-        )
+    check_cap("largest component", max(part.graph.n for part in comps), args.cap_n)
     if args.list:
         if len(comps) != 1:
             raise UsageError(
@@ -271,7 +270,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"verify knows {', '.join(VERIFY_FAMILIES)}; got {args.family!r}")
     smallest, m_range, build = VERIFY_FAMILIES[args.family]
     ns = parse_range(args.n, smallest, args.cap_n)
-    lost_sequences.check_cap(ns[-1], args.cap_n)
+    check_cap(f"K_{ns[-1]}, the top of --n {args.n},", ns[-1], args.cap_n)
     ms = {}
     for n in ns:
         lo, hi = m_range(n)
@@ -301,6 +300,7 @@ def cmd_ehrhart(args) -> int:
 
 def cmd_recurrence(args) -> int:
     g = load_input_graph(args)
+    check_cap("graph", g.n, args.cap_n)
     try:
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError:
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count draconian sequences / normalized volume")
     add_graph_source(p)
-    p.add_argument("--engine", choices=ENGINES, default="auto")
+    p.add_argument("--engine", choices=ENGINES, default="subset")
     p.add_argument("--list", action="store_true", help="print the sequences, one per line")
     p.add_argument("--cap-n", type=int, default=DEFAULT_COUNT_CAP, metavar="N",
                    help=f"refuse components larger than N (default {DEFAULT_COUNT_CAP})")
@@ -383,15 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", required=True, help="value or range a..b")
     p.add_argument("--m", default="..", help="value or range a..b (default: all valid)")
-    p.add_argument("--cap-n", type=int, default=9, metavar="N",
-                   help="enumeration cap (default 9)")
+    p.add_argument("--cap-n", type=int, default=lost_sequences.DEFAULT_VERIFY_CAP, metavar="N",
+                   help=f"enumeration cap (default {lost_sequences.DEFAULT_VERIFY_CAP})")
     add_render(p)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("ehrhart", help="geometric volume via lattice-point counting")
     add_graph_source(p)
-    p.add_argument("--cap-n", type=int, default=4, metavar="N",
-                   help="dilate-counting cap (default 4)")
+    p.add_argument("--cap-n", type=int, default=DEFAULT_DILATE_CAP, metavar="N",
+                   help=f"dilate-counting cap (default {DEFAULT_DILATE_CAP})")
     p.add_argument("--jobs", type=positive_int, default=1, help="worker processes (>= 1)")
     add_render(p)
     p.set_defaults(run=cmd_ehrhart)
@@ -399,6 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recurrence", help="measure one triangle extension")
     add_graph_source(p)
     p.add_argument("--edge", required=True, metavar="U,V")
+    p.add_argument("--cap-n", type=int, default=DEFAULT_COUNT_CAP, metavar="N",
+                   help=f"refuse graphs larger than N (default {DEFAULT_COUNT_CAP})")
     add_render(p)
     p.set_defaults(run=cmd_recurrence)
 

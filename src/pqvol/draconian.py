@@ -30,31 +30,29 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinat import weak_compositions
 from .flows import UnitRouter
 from .graphs import BipartiteDouble, Graph, connected_components, doubling
 
-ENGINES = ("auto", "subset", "flow")
+ENGINES = ("subset", "flow")
 
 
 class EnumerationCapExceeded(RuntimeError):
     """An instance is larger than the configured enumeration cap allows."""
 
 
-def neighborhood_union_size(d: BipartiteDouble, s: Iterable[int]) -> int:
-    """Size of the union of D(G)-neighborhoods of the left vertices in s."""
-    mask = 0
-    empty = True
-    for i in s:
-        if not 1 <= i <= d.n:
-            raise ValueError(f"vertex {i} out of range 1..{d.n}")
-        mask |= d.masks[i - 1]
-        empty = False
-    if empty:
-        raise ValueError("the neighborhood union of the empty set is not used here")
-    return mask.bit_count()
+def check_cap(what: str, size: int, cap: int):
+    """Refuse an input whose vertex count is over cap (exit 3 on the command line).
+
+    Every size bound in the package goes through here, so each refusal
+    reads the same: the quantity, its size, the cap and the option.
+    """
+    if size > cap:
+        raise EnumerationCapExceeded(
+            f"{what} has {size} vertices, over the cap {cap}; raise --cap-n to force this"
+        )
 
 
 def _check_sequence(d: BipartiteDouble, c: Sequence[int]):
@@ -84,10 +82,10 @@ def _join(state: dict[int, int], v: int, m: int) -> dict[int, int] | None:
 
 
 def _engine(name: str) -> str:
-    """Check an engine name; auto means subset."""
+    """Check an engine name against ENGINES."""
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}, expected one of {ENGINES}")
-    return "subset" if name == "auto" else name
+    return name
 
 
 def is_draconian_subset(d: BipartiteDouble, c: Sequence[int], *,
@@ -122,12 +120,6 @@ def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
     return True
 
 
-def is_draconian(d: BipartiteDouble, c: Sequence[int], engine: str = "auto") -> bool:
-    if _engine(engine) == "subset":
-        return is_draconian_subset(d, c)
-    return is_draconian_flow(d, c)
-
-
 def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tuple[int, ...]]:
     """All draconian sequences for d, in lexicographic order.
 
@@ -157,7 +149,7 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
             return
         low = max(0, remaining - tail[k + 1])
         high = min(caps[k], remaining)
-        if low == 0 and low <= high:
+        if low == 0:
             c[k] = 0
             place(k + 1, remaining, state)
             low = 1
@@ -199,7 +191,7 @@ class VolumeReport:
         }
 
 
-def count_draconian(g: Graph, engine: str = "auto") -> VolumeReport:
+def count_draconian(g: Graph, engine: str = "subset") -> VolumeReport:
     """Normalized volume of the adjacency polytope of ordered pairs on g.
 
     Connected graphs are counted by direct enumeration.  For a

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinat import weak_compositions
-from .draconian import EnumerationCapExceeded
+from .draconian import check_cap
 from .flows import transportation_feasible
 from .graphs import Graph, connected_components, doubling
 from .parallel import map_in_order
@@ -139,10 +139,7 @@ def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP, jobs: int = 1,
     """
     if len(connected_components(g)) != 1:
         raise ValueError("the geometric oracle only handles connected graphs")
-    if g.n > cap_n:
-        raise EnumerationCapExceeded(
-            f"n = {g.n} exceeds the dilate-counting cap {cap_n}; raise --cap-n to force this"
-        )
+    check_cap("graph", g.n, cap_n)
     d = affine_dimension(polytope_vertices(g))
     counts = tuple(count_dilate_points(g, t, jobs=jobs) for t in range(d + 1 + extra_dilates))
     return EhrhartTable(dimension=d, counts=counts, nvol=finite_difference(counts, d))

@@ -126,13 +126,6 @@ class BipartiteDouble:
     n: int
     masks: tuple[int, ...]
 
-    def neighborhood(self, i: int) -> frozenset[int]:
-        """Right labels adjacent to left vertex i (j stands for j-bar)."""
-        return frozenset(_bits(self.masks[i - 1]))
-
-    def neighborhood_size(self, i: int) -> int:
-        return self.masks[i - 1].bit_count()
-
 
 def doubling(g: Graph) -> BipartiteDouble:
     """The bipartite double of g.  Left vertex i meets i-bar and j-bar for edges ij."""

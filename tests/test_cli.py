@@ -5,12 +5,13 @@ shipped schema; that contract is what downstream tooling consumes.
 """
 
 import json
+import re
 from importlib.resources import files
 
 import jsonschema
 import pytest
 
-from pqvol import cli, draconian, tripling
+from pqvol import cli, draconian, ehrhart, lost_sequences, tripling
 from pqvol.cli import main
 from pqvol.draconian import enumerate_draconian
 from pqvol.graphs import MAX_VERTICES
@@ -89,7 +90,8 @@ def test_count_cap(capsys):
     (["count", "--family", "complete:100000"], 3),
     (["count", "--family", "matching-triangles:8,2", "--cap-n", "9"], 3),
     (["ehrhart", "--family", "complete:100000"], 3),
-    (["recurrence", "--family", f"complete:{MAX_VERTICES + 1}", "--edge", "1,2"], 2),
+    (["recurrence", "--family", f"complete:{MAX_VERTICES + 1}", "--edge", "1,2",
+      "--cap-n", str(2 * MAX_VERTICES)], 2),
 ], ids=["count", "count-matching", "ehrhart", "recurrence"])
 def test_family_spec_refused_before_any_edge_is_built(monkeypatch, capsys, argv, want):
     def unbuildable(name, params):
@@ -304,9 +306,9 @@ STAR_CENTRE_LAST = "1100\n" + "".join(f"{i} 1100\n" for i in range(1, 1100))
 
 
 @pytest.mark.parametrize("argv, text, want", [
-    (["recurrence", "--edge", "1,1100"], STAR_CENTRE_LAST, 3),
+    (["recurrence", "--edge", "1,1100", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
     (["count", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
-    (["recurrence", "--edge", "1,2"], "1500\n1 2\n", 0),
+    (["recurrence", "--edge", "1,2", "--cap-n", "2000"], "1500\n1 2\n", 0),
 ], ids=["recurrence-star", "count-star", "recurrence-one-edge"])
 def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text, want):
     # the enumerator recurses once per vertex while entries stay in play: every
@@ -317,6 +319,36 @@ def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text,
     assert code == want, err
     if want:
         assert out == "" and err.startswith("error:") and "recurses" in err
+
+
+PATH_1500 = "1500\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1500))
+COMPONENT_OF_11 = "13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 11)) + "12 13\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["count"], COMPONENT_OF_11),
+    (["count", "--family", "complete:11"], None),
+    (["verify", "--family", "cycle-deleted", "--n", "5..10"], None),
+    (["ehrhart"], "5\n1 2\n2 3\n3 4\n4 5\n"),
+    (["recurrence", "--edge", "1,2"], PATH_1500),
+    (["recurrence", "--family", "complete:11", "--edge", "1,2"], None),
+], ids=["count-graph", "count-family", "verify", "ehrhart", "recurrence-graph",
+        "recurrence-family"])
+def test_every_cap_refusal_comes_before_any_work(monkeypatch, capsys, tmp_path, argv, text):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    for module in (cli, draconian, lost_sequences, tripling):
+        monkeypatch.setattr(module, "enumerate_draconian", no_work)
+    monkeypatch.setattr(ehrhart, "count_dilate_points", no_work)
+    if text is not None:
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        argv = argv + ["--graph", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"error: .+ has \d+ vertices, over the cap \d+; "
+                        r"raise --cap-n to force this\n", err), err
 
 
 def test_search_json_lines(capsys):

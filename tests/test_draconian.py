@@ -9,10 +9,8 @@ from pqvol.draconian import (
     ENGINES,
     count_draconian,
     enumerate_draconian,
-    is_draconian,
     is_draconian_flow,
     is_draconian_subset,
-    neighborhood_union_size,
 )
 from pqvol.graphs import (
     Graph,
@@ -26,18 +24,6 @@ from pqvol.graphs import (
 
 # central binomials C(2(n-1), n-1); frozen from the brute-force oracle
 COMPLETE_COUNTS = {1: 1, 2: 2, 3: 6, 4: 20, 5: 70, 6: 252, 7: 924}
-
-
-def test_neighborhood_union_size():
-    d = doubling(delete_path(4, 2))
-    assert neighborhood_union_size(d, [2, 4]) == 3
-    assert neighborhood_union_size(d, [2, 3]) == 4
-    assert neighborhood_union_size(d, [3]) == 2
-    assert neighborhood_union_size(d, [1, 2, 3, 4]) == 4
-    with pytest.raises(ValueError):
-        neighborhood_union_size(d, [])
-    with pytest.raises(ValueError):
-        neighborhood_union_size(d, [5])
 
 
 def test_membership_hand_cases():
@@ -58,8 +44,6 @@ def test_membership_input_validation():
             check(d, (1, 1))
         with pytest.raises(ValueError):
             check(d, (1, -1, 2))
-    with pytest.raises(ValueError):
-        is_draconian(d, (1, 1, 0), engine="magic")
 
 
 def test_support_restriction_equals_full_powerset():
