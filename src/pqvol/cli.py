@@ -277,6 +277,11 @@ def cmd_verify(args) -> int:
         ms[n] = parse_range(args.m, lo, hi)
         if ms[n][0] < lo or ms[n][-1] > hi:
             raise UsageError(f"--m {args.m} is outside {lo}..{hi} at n = {n}")
+    if args.family == "matching-triangles":
+        # row (n, m) enumerates matching-triangles:n,m and its step base, on n + m vertices
+        n, m = max(((n, ms[n][-1]) for n in ns), key=sum)
+        check_cap(f"matching-triangles:{n},{m}, the largest graph of --n {args.n} --m {args.m},",
+                  n + m, args.cap_n)
     rows = [build(n, m, args.cap_n) for n in ns for m in ms[n]]
     ok = all(row["must_hold"] for row in rows)
     payload = {"family": args.family, "rows": rows, "all_must_hold": ok}

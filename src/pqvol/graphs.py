@@ -224,6 +224,14 @@ class Component:
     vertices: tuple[int, ...]
 
 
+def _induced(g: Graph, mask: int) -> Graph:
+    """The subgraph of g induced on the vertices of mask, relabeled to 1..k in ascending order."""
+    verts = _bits(mask)
+    pos = {v: i for i, v in enumerate(verts, 1)}
+    edges = frozenset((pos[u], pos[w]) for u in verts for w in _bits(g.adj[u - 1] & mask) if u < w)
+    return Graph(len(verts), edges)
+
+
 def connected_components(g: Graph) -> list[Component]:
     """Components ordered by smallest original vertex, each relabeled to 1..k."""
     unseen = (1 << g.n) - 1
@@ -236,10 +244,58 @@ def connected_components(g: Graph) -> list[Component]:
             block |= grown
             frontier = (frontier ^ low) | grown
         unseen &= ~block
-        verts = tuple(_bits(block))
-        pos = {v: i + 1 for i, v in enumerate(verts)}
-        edges = frozenset((pos[u], pos[w]) for u in verts for w in _bits(g.adj[u - 1]) if u < w)
-        out.append(Component(Graph(len(verts), edges), verts))
+        out.append(Component(_induced(g, block), tuple(_bits(block))))
+    return out
+
+
+def biconnected_blocks(g: Graph) -> list[Graph]:
+    """The blocks of g, each relabeled to 1..k in ascending vertex order.
+
+    A block is a maximal connected subgraph without a cut vertex: a
+    bridge gives K_2 and an isolated vertex K_1.  Hopcroft-Tarjan, run
+    with an explicit stack so that a long path does not reach the
+    recursion limit.  A depth of 0 marks an unvisited vertex, and low[v]
+    is the least depth reached by an edge from v's subtree.
+    """
+    depth = [0] * (g.n + 1)
+    low = [0] * (g.n + 1)
+    out = []
+    for root in range(1, g.n + 1):
+        if depth[root]:
+            continue
+        if not g.adj[root - 1]:
+            out.append(Graph(1, frozenset()))
+            continue
+        depth[root] = low[root] = 1
+        # visited vertices whose block is not yet found, in discovery order
+        pending = [root]
+        stack = [(root, iter(_bits(g.adj[root - 1])))]
+        while stack:
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if not depth[w]:
+                    depth[w] = low[w] = depth[v] + 1
+                    pending.append(w)
+                    stack.append((w, iter(_bits(g.adj[w - 1]))))
+                    break
+                # the tree edge back to v's parent only lowers low[v] to its
+                # parent's depth, which the block test below allows
+                low[v] = min(low[v], depth[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= depth[p]:
+                    # p separates v's subtree: p and the subtree's pending vertices form a block
+                    mask = 1 << (p - 1)
+                    while True:
+                        w = pending.pop()
+                        mask |= 1 << (w - 1)
+                        if w == v:
+                            break
+                    out.append(_induced(g, mask))
     return out
 
 

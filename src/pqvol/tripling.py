@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .draconian import enumerate_draconian
+from .draconian import count_draconian, enumerate_draconian
 from .graphs import Graph, connected_components, doubling, triangle_extend
 from .parallel import map_in_order
 
@@ -227,10 +227,10 @@ def connected_graph_stream(n_max: int) -> Iterator[Graph]:
 
 def _search_task(g: Graph) -> list[dict]:
     """Records for every edge of one graph, counting the base graph once."""
-    base = len(enumerate_draconian(doubling(g)))
+    base = count_draconian(g).count
     records = []
     for e in g.sorted_edges():
-        extended = len(enumerate_draconian(doubling(triangle_extend(g, e))))
+        extended = count_draconian(triangle_extend(g, e)).count
         hyp = recurrence_hypotheses(g, e)
         triples = extended == 3 * base
         category = ("hypotheses-hold" if hyp else "hypotheses-fail") + \

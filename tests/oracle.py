@@ -87,6 +87,35 @@ def components(n, edges):
     return sorted(tuple(b) for b in blocks.values())
 
 
+def blocks(n, edges):
+    """Biconnected blocks as sorted vertex tuples, from the definition: the
+    maximal vertex sets whose induced subgraph is connected and stays
+    connected after deleting any one vertex.  One edge qualifies, and so
+    does one vertex, which survives as a block only when it is isolated."""
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def connected(vs):
+        start = min(vs)
+        reached, todo = {start}, [start]
+        while todo:
+            for w in nbrs[todo.pop()] & vs - reached:
+                reached.add(w)
+                todo.append(w)
+        return reached == vs
+
+    def biconnected(vs):
+        if len(vs) <= 2:
+            return connected(vs)
+        return connected(vs) and all(connected(vs - {v}) for v in vs)
+
+    good = [set(s) for size in range(1, n + 1)
+            for s in itertools.combinations(range(1, n + 1), size) if biconnected(set(s))]
+    return sorted(tuple(sorted(s)) for s in good if not any(s < t for t in good))
+
+
 def random_graph(rng, n, p=0.5):
     """Edge list of a random graph on 1..n with edge probability p."""
     return [

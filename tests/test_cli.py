@@ -13,7 +13,7 @@ import pytest
 
 from pqvol import cli, draconian, ehrhart, lost_sequences, tripling
 from pqvol.cli import main
-from pqvol.draconian import enumerate_draconian
+from pqvol.draconian import count_draconian, enumerate_draconian
 from pqvol.graphs import MAX_VERTICES
 
 SCHEMA = json.loads((files("pqvol") / "schemas" / "report.schema.json").read_text())
@@ -185,6 +185,7 @@ def test_formula_bounded_by_vertex_count(monkeypatch, capsys, spec, want):
     ("matching-triangles", "4", "0..1000000000", "9", 2),
     ("matching-triangles", "8", "0..1000000000", "9", 2),
     ("path-deleted", "5..6", "1..3", "9", 2),
+    ("matching-triangles", "9", "4", "9", 3),
 ])
 def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, want):
     def unbuildable(n, m, cap_n):
@@ -264,17 +265,23 @@ def test_verify_open_n_range_starts_at_family_minimum(capsys, family, first):
 
 
 def test_verify_matching_reuses_the_step_count(monkeypatch, capsys):
-    calls = []
+    counts, listings = [], []
 
-    def counting(d, *args):
-        calls.append(d.n)
+    def counting(g, *args):
+        counts.append(g.n)
+        return count_draconian(g, *args)
+
+    def listing(d, *args):
+        listings.append(d.n)
         return enumerate_draconian(d, *args)
 
-    monkeypatch.setattr(draconian, "enumerate_draconian", counting)
-    monkeypatch.setattr(tripling, "enumerate_draconian", counting)
+    monkeypatch.setattr(cli, "count_draconian", counting)
+    monkeypatch.setattr(draconian, "enumerate_draconian", listing)
+    monkeypatch.setattr(tripling, "enumerate_draconian", listing)
     run_json(capsys, "verify", "--family", "matching-triangles", "--n", "4..5")
-    # m = 0 counts K_n; each m >= 1 row counts its base and its extension once
-    assert calls == [4, 4, 5, 5, 6, 5, 5, 6, 6, 7]
+    # m = 0 counts K_n without listing; each m >= 1 row lists its base and its extension once
+    assert counts == [4, 5]
+    assert listings == [4, 5, 5, 6, 5, 6, 6, 7]
 
 
 def test_ehrhart_command(capsys, tmp_path):
@@ -303,22 +310,31 @@ def test_recurrence_command(capsys):
 
 
 STAR_CENTRE_LAST = "1100\n" + "".join(f"{i} 1100\n" for i in range(1, 1100))
+# a 1099-cycle with a hub joined to every cycle vertex: one block of 1100 vertices
+WHEEL_HUB_LAST = STAR_CENTRE_LAST + "".join(f"{i} {i % 1099 + 1}\n" for i in range(1, 1100))
 
 
 @pytest.mark.parametrize("argv, text, want", [
     (["recurrence", "--edge", "1,1100", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
-    (["count", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
+    (["count", "--cap-n", "2000"], STAR_CENTRE_LAST, 0),
+    (["count", "--list", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
+    (["count", "--cap-n", "2000"], WHEEL_HUB_LAST, 3),
     (["recurrence", "--edge", "1,2", "--cap-n", "2000"], "1500\n1 2\n", 0),
-], ids=["recurrence-star", "count-star", "recurrence-one-edge"])
+], ids=["recurrence-star", "count-star", "count-list-star", "count-wheel",
+        "recurrence-one-edge"])
 def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text, want):
-    # the enumerator recurses once per vertex while entries stay in play: every
-    # leaf of a star does, the isolated vertices of the one-edge graph do not
+    # the enumerator and the counting walk recurse once per vertex of what they
+    # walk while entries stay in play: every leaf of a star does, and so does
+    # every rim vertex of the wheel, the isolated vertices of the one-edge graph
+    # do not; counting splits the star into 1099 K_2 blocks, each walked alone
     path = tmp_path / "g.txt"
     path.write_text(text)
     code, out, err = run(capsys, *argv, "--graph", str(path))
     assert code == want, err
     if want:
         assert out == "" and err.startswith("error:") and "recurses" in err
+    elif argv[0] == "count":
+        assert json.loads(out)["count"] == str(2 ** 1099)
 
 
 PATH_1500 = "1500\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1500))
@@ -340,6 +356,8 @@ def test_every_cap_refusal_comes_before_any_work(monkeypatch, capsys, tmp_path, 
 
     for module in (cli, draconian, lost_sequences, tripling):
         monkeypatch.setattr(module, "enumerate_draconian", no_work)
+    for module in (cli, tripling):
+        monkeypatch.setattr(module, "count_draconian", no_work)
     monkeypatch.setattr(ehrhart, "count_dilate_points", no_work)
     if text is not None:
         path = tmp_path / "g.txt"

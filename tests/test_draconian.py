@@ -1,9 +1,12 @@
 import gc
+import inspect
 import random
+import textwrap
 
 import pytest
 from oracle import brute_draconian, components, compositions, random_graph
 
+from pqvol import draconian
 from pqvol.combinat import weak_compositions
 from pqvol.draconian import (
     ENGINES,
@@ -94,8 +97,12 @@ def test_enumeration_matches_brute_force_random():
         assert set(enumerate_draconian(doubling(g))) == want, g.descriptor()
 
 
+def _no_listing(*args, **kwargs):
+    raise AssertionError("the subset engine listed sequences to count them")
+
+
 @pytest.mark.parametrize("p", (0.3, 0.6, 0.9))
-def test_every_counting_path_matches_the_oracle(p):
+def test_every_counting_path_matches_the_oracle(monkeypatch, p):
     # sparse to near-complete: dense graphs are where neighborhood unions merge
     rng = random.Random(f"oracle:{p}")
     for n in (1, 2, 3, 4, 4, 5, 5, 6, 6, 7):
@@ -111,10 +118,46 @@ def test_every_counting_path_matches_the_oracle(p):
                 len(block), [(index[u], index[v]) for u, v in edges if u in index]))
         for engine in ENGINES:
             assert enumerate_draconian(d, engine) == want, (g.descriptor(), engine)
-            assert count_draconian(g, engine).count == volume, (g.descriptor(), engine)
+            with monkeypatch.context() as patch:
+                if engine == "subset":
+                    patch.setattr(draconian, "enumerate_draconian", _no_listing)
+                assert count_draconian(g, engine).count == volume, (g.descriptor(), engine)
         for c in compositions(n - 1, n):
             assert is_draconian_subset(d, c) == (c in members), (g.descriptor(), c)
             assert is_draconian_subset(d, c, all_subsets=True) == (c in members)
+
+
+def test_slack_prune_drops_nothing_that_can_break():
+    # an entry whose slack equals the weight still to place breaks when all of
+    # it joins the entry: a copy of the walk that prunes it as well miscounts
+    source = inspect.getsource(draconian._count_walk)
+    keep = "u.bit_count() - s <= remaining"
+    assert source.count(keep) == 1
+    namespace = dict(vars(draconian))
+    exec(textwrap.dedent(source.replace(keep, "u.bit_count() - s < remaining")), namespace)
+    early = namespace["_count_walk"]
+    assert early(doubling(delete_cycle(5, 4))) == 46
+    rng = random.Random("slack")
+    wrong = 0
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
+        want = len(enumerate_draconian(d))
+        assert draconian._count_walk(d) == want
+        wrong += early(d) != want
+    assert wrong >= 30
+
+
+def test_trees_count_two_to_the_edges():
+    rng = random.Random("trees")
+    for _ in range(40):
+        n = rng.randint(1, 60)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        tree = Graph.from_edges(n, [(perm[rng.randrange(v)], perm[v]) for v in range(1, n)])
+        assert count_draconian(tree).count == 2 ** (n - 1), tree.descriptor()
+    path = Graph.from_edges(1500, [(v, v + 1) for v in range(1, 1500)])
+    assert count_draconian(path).count == 2 ** 1499
 
 
 def test_flow_engine_enumerates_identically():
@@ -207,6 +250,7 @@ def test_enumeration_result_is_freed_without_a_gc_pass():
     gc.disable()
     try:
         enumerate_draconian(d)
+        draconian._count_walk(d)
         assert gc.collect() == 0
     finally:
         gc.enable()

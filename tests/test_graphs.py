@@ -2,13 +2,14 @@ import pickle
 import random
 
 import pytest
-from oracle import components, double_neighborhoods, random_graph
+from oracle import blocks, components, double_neighborhoods, random_graph
 
 from pqvol.graphs import (
     MAX_VERTICES,
     Graph,
     GraphFormatError,
     Matching,
+    biconnected_blocks,
     canonical_matching,
     complete_graph,
     connected_components,
@@ -215,3 +216,32 @@ def test_masks_match_edge_based_reference_random():
         for p in parts:
             back = {(p.vertices[a - 1], p.vertices[b - 1]) for a, b in p.graph.edges}
             assert back == {e for e in g.edges if e[0] in p.vertices}
+
+
+def test_biconnected_blocks_match_the_definition():
+    # trees with a few chords, sometimes split in two: mostly several blocks
+    rng = random.Random(717)
+    multi = 0
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        cut = rng.randint(1, n) if rng.random() < 0.3 else n
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1) if v != cut + 1}
+        edges |= set(random_graph(rng, n, p=0.15))
+        g = Graph.from_edges(n, edges)
+        want = []
+        for vs in blocks(n, g.edges):
+            pos = {v: k for k, v in enumerate(vs, 1)}
+            want.append(Graph.from_edges(len(vs), [(pos[u], pos[v]) for u, v in g.edges
+                                                   if u in pos and v in pos]).descriptor())
+        got = [b.descriptor() for b in biconnected_blocks(g)]
+        assert sorted(got) == sorted(want), g.descriptor()
+        multi += len(want) > len(components(n, g.edges))
+    assert multi >= 60
+
+
+def test_biconnected_blocks_of_a_long_path_need_no_recursion():
+    path = Graph.from_edges(1500, [(v, v + 1) for v in range(1, 1500)])
+    got = biconnected_blocks(path)
+    assert len(got) == 1499
+    assert all(b.descriptor() == "n=2;e=1-2" for b in got)
+    assert [b.descriptor() for b in biconnected_blocks(Graph(3, frozenset()))] == ["n=1;e="] * 3

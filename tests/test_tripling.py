@@ -1,7 +1,7 @@
 import pytest
 
 from pqvol import tripling
-from pqvol.draconian import enumerate_draconian
+from pqvol.draconian import count_draconian, enumerate_draconian
 from pqvol.graphs import Graph, canonical_matching, complete_graph, doubling, triangle_extend_set
 from pqvol.tripling import (
     connected_graph_stream,
@@ -177,11 +177,11 @@ def test_search_accepts_custom_source():
 def test_search_counts_each_base_graph_once(monkeypatch):
     calls = []
 
-    def counting(d, *args):
-        calls.append(d.n)
-        return enumerate_draconian(d, *args)
+    def counting(g, *args):
+        calls.append(g.n)
+        return count_draconian(g, *args)
 
-    monkeypatch.setattr(tripling, "enumerate_draconian", counting)
+    monkeypatch.setattr(tripling, "count_draconian", counting)
     graphs = [complete_graph(3), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])]
     records = search_triple_recurrence(0, source=graphs)
     assert len(records) == 6
