@@ -269,7 +269,12 @@ def cmd_verify(args) -> int:
     if args.family not in VERIFY_FAMILIES:
         raise UsageError(f"verify knows {', '.join(VERIFY_FAMILIES)}; got {args.family!r}")
     smallest, m_range, build = VERIFY_FAMILIES[args.family]
-    ns = parse_range(args.n, smallest, args.cap_n)
+    top = args.cap_n
+    if args.family == "matching-triangles":
+        # an open --n stops at the largest n whose largest row, n + (top m at n), fits
+        while top > smallest and top + parse_range(args.m, *m_range(top))[-1] > args.cap_n:
+            top -= 1
+    ns = parse_range(args.n, smallest, top)
     check_cap(f"K_{ns[-1]}, the top of --n {args.n},", ns[-1], args.cap_n)
     ms = {}
     for n in ns:

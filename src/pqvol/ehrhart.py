@@ -11,7 +11,37 @@ Membership of an integer point z = (a, b) in the t-th dilate is a
 transportation problem: z lies in t times the polytope exactly when
 nonnegative weights on the allowed pairs have row sums a and column
 sums b.  Integer marginals always admit integer routings, so the
-whole computation stays in exact integer arithmetic.
+whole computation stays in exact integer arithmetic.  is_in_dilate
+decides one point with the flow kernel; it is the reference the
+counter below is tested against.
+
+The counter does not test points one by one.  By Gale's supply-demand
+theorem (Gale, "A theorem on flows in networks", 1957), margins a and
+b with equal totals t are feasible exactly when b(T) <= a(N(T)) for
+every set T of columns, where N(T) is the set of rows with an allowed
+cell in T.  So for each row margin a, count_dilate_points counts the
+feasible b with one walk over the columns, placing b_j at column j:
+
+  * The state maps each row cover R = N(T) of a column subset T
+    placed so far to the heaviest b(T) among subsets with that cover.
+    Keeping the heaviest is exact: two subsets with one cover still
+    share a cover after the same columns join both, so the heavier one
+    breaks an inequality whenever the lighter one does.  A column with
+    b_j = 0 joins nothing: adding it to T keeps b(T) and can only grow
+    N(T).  Covers are taken inside the support of a, since a(R) only
+    sees rows with a_i > 0, so a walk's tables have 2^k entries for the
+    k <= min(n, t) rows of that support.
+  * With r units still to place, an entry whose slack a(R) - b(T) is
+    at least r is dropped.  Later columns add at most r to its weight,
+    and a(R) only grows as R grows, so neither it nor any subset grown
+    from it can break; dropping it changes no count.  An entry whose
+    slack is r - 1 can still break, when all r units join it.
+  * Counts are memoized on (column, r, state), so b's that reach the
+    same column with the same weight left and the same live entries
+    are counted once.
+
+Each dilate then takes C(t+n-1, n-1) walks, one per row margin a, in
+place of C(t+n-1, n-1)^2 flow checks.
 
 This route never touches draconian sequences, which is the point: it
 independently checks that the combinatorial count really is the
@@ -31,7 +61,7 @@ from .flows import transportation_feasible
 from .graphs import Graph, connected_components, doubling
 from .parallel import map_in_order
 
-DEFAULT_DILATE_CAP = 4
+DEFAULT_DILATE_CAP = 5
 
 
 def polytope_vertices(g: Graph) -> list[tuple[int, ...]]:
@@ -111,16 +141,81 @@ def finite_difference(values: Sequence[int], order: int) -> int:
     return sum((-1) ** k * math.comb(order, k) * values[order - k] for k in range(order + 1))
 
 
-def _count_dilate_slice(args) -> int:
-    masks, n, t, a = args
-    return sum(1 for b in weak_compositions(t, n) if transportation_feasible(masks, a, b))
+def _join_column(state: dict[int, int], v: int, m: int,
+                 weight: list[int]) -> dict[int, int] | None:
+    """Join a column of margin v and row cover m to every subset in state.
+
+    state maps each row cover to the largest weight b(T) of a column
+    subset T with that cover ({0: 0} is the empty set alone).  Returns
+    the grown state, or None at the first joined subset whose weight is
+    over the row margin a(R) of its cover R.
+    """
+    out = dict(state)
+    for rows, s in state.items():
+        s += v
+        rows |= m
+        if s > weight[rows]:
+            return None
+        if out.get(rows, -1) < s:
+            out[rows] = s
+    return out
+
+
+def _count_column_margins(args) -> int:
+    """The number of column margins b that are feasible with the row margin a.
+
+    A walk over the columns under Gale's condition; the state, the
+    slack prune and the memo are explained in the module docstring.
+    """
+    masks, a = args
+    n = len(a)
+    # covers live on the k rows with a_i > 0, relabelled 0..k-1; the allowed
+    # cells are symmetric, so the rows with a cell in column j are masks[j]
+    support = [i for i, x in enumerate(a) if x]
+    covers = [sum(1 << p for p, i in enumerate(support) if m >> i & 1) for m in masks]
+    # weight[R] = a(R) for every set R of those rows
+    weight = [0] * (1 << len(support))
+    for rows in range(1, len(weight)):
+        low = rows & -rows
+        weight[rows] = weight[rows ^ low] + a[support[low.bit_length() - 1]]
+    # b_j <= a(N(j)), the singleton bound; tail[j] = caps[j] + ... + caps[n-1]
+    caps = [weight[m] for m in covers]
+    tail = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        tail[j] = tail[j + 1] + caps[j]
+    memo: dict[tuple, int] = {}
+
+    def walk(j: int, r: int, state: dict[int, int]) -> int:
+        if r == 0:
+            return 1
+        if j == n:
+            return 0
+        state = {rows: s for rows, s in state.items() if weight[rows] - s < r}
+        key = (j, r, frozenset(state.items()))
+        if key in memo:
+            return memo[key]
+        count = walk(j + 1, r, state) if r <= tail[j + 1] else 0
+        m = covers[j]
+        for v in range(max(1, r - tail[j + 1]), min(caps[j], r) + 1):
+            # a subset that breaks at weight v breaks at every larger v
+            if (grown := _join_column(state, v, m, weight)) is None:
+                break
+            count += walk(j + 1, r - v, grown)
+        memo[key] = count
+        return count
+
+    count = walk(0, sum(a), {0: 0})
+    # walk's closure refers to itself: break the cycle so memo is freed without a GC pass
+    del walk
+    return count
 
 
 def count_dilate_points(g: Graph, t: int, jobs: int = 1) -> int:
-    """Number of lattice points in the t-th dilate, by marginal enumeration."""
+    """Number of lattice points in the t-th dilate: for each row margin a,
+    the number of feasible column margins, by Gale's condition."""
     masks = doubling(g).masks
-    tasks = [(masks, g.n, t, a) for a in weak_compositions(t, g.n)]
-    return sum(map_in_order(_count_dilate_slice, tasks, jobs))
+    tasks = [(masks, a) for a in weak_compositions(t, g.n)]
+    return sum(map_in_order(_count_column_margins, tasks, jobs))
 
 
 def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP, jobs: int = 1,
@@ -131,9 +226,10 @@ def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP, jobs: int = 1,
     asked, e.g. to confirm the counter is a degree-d polynomial) and
     extracts the volume as the d-th finite difference.
 
-    The counting cost per dilate is C(t+n-1, n-1)^2 feasibility checks,
-    so inputs beyond cap_n vertices are refused; raise cap_n to force
-    larger runs.  Disconnected graphs are refused outright: the product
+    The counting cost per dilate is C(t+n-1, n-1) column walks, one per
+    row margin, each growing quickly with n (K_5 takes about 0.4 s, K_6
+    several seconds), so inputs beyond cap_n vertices are refused; raise
+    cap_n to force larger runs.  Disconnected graphs are refused outright: the product
     rule for counts is a statement about components, and this oracle
     only certifies the connected case.
     """

@@ -186,6 +186,7 @@ def test_formula_bounded_by_vertex_count(monkeypatch, capsys, spec, want):
     ("matching-triangles", "8", "0..1000000000", "9", 2),
     ("path-deleted", "5..6", "1..3", "9", 2),
     ("matching-triangles", "9", "4", "9", 3),
+    ("matching-triangles", "2..9", "..", "9", 3),
 ])
 def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, want):
     def unbuildable(n, m, cap_n):
@@ -198,6 +199,24 @@ def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, 
     assert code == want and out == ""
     assert err.startswith("error:")
     assert ("--cap-n" if want == 3 else "--m") in err
+
+
+@pytest.mark.parametrize("n, m, top", [("2..", "..", 6), ("..", "..", 6), ("2..", "1", 8)])
+def test_verify_matching_open_top_stops_at_the_largest_row_that_fits(monkeypatch, capsys,
+                                                                      n, m, top):
+    # at the default cap 9 the open top is the largest n with n + (top m at n) <= 9
+    built = []
+
+    def row(n, m, cap_n):
+        built.append((n, m))
+        return {"n": n, "m": m, "must_hold": True}
+
+    smallest, m_range, _ = cli.VERIFY_FAMILIES["matching-triangles"]
+    monkeypatch.setitem(cli.VERIFY_FAMILIES, "matching-triangles", (smallest, m_range, row))
+    code, _, err = run(capsys, "verify", "--family", "matching-triangles", "--n", n, "--m", m)
+    assert code == 0, err
+    assert built[0][0] == 2 and max(n for n, _ in built) == top
+    assert max(n + m for n, m in built) <= 9
 
 
 def test_verify_matching(capsys):
@@ -288,11 +307,11 @@ def test_ehrhart_command(capsys, tmp_path):
     payload = run_json(capsys, "ehrhart", "--family", "complete:2")
     assert payload["counts"] == [1, 4, 9]
     assert payload["nvol"] == "2"
-    code, _, err = run(capsys, "ehrhart", "--family", "complete:5")
+    code, _, err = run(capsys, "ehrhart", "--family", "complete:6")
     assert code == 3
     assert "--cap-n" in err
-    path = tmp_path / "p5.txt"
-    path.write_text("5\n1 2\n2 3\n3 4\n4 5\n")
+    path = tmp_path / "p6.txt"
+    path.write_text("6\n1 2\n2 3\n3 4\n4 5\n5 6\n")
     code, out, err = run(capsys, "ehrhart", "--graph", str(path))
     assert code == 3 and out == ""
     assert "--cap-n" in err
@@ -345,7 +364,7 @@ COMPONENT_OF_11 = "13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 11)) + "12
     (["count"], COMPONENT_OF_11),
     (["count", "--family", "complete:11"], None),
     (["verify", "--family", "cycle-deleted", "--n", "5..10"], None),
-    (["ehrhart"], "5\n1 2\n2 3\n3 4\n4 5\n"),
+    (["ehrhart"], "6\n1 2\n2 3\n3 4\n4 5\n5 6\n"),
     (["recurrence", "--edge", "1,2"], PATH_1500),
     (["recurrence", "--family", "complete:11", "--edge", "1,2"], None),
 ], ids=["count-graph", "count-family", "verify", "ehrhart", "recurrence-graph",

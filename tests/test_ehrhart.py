@@ -1,7 +1,12 @@
+import inspect
 import random
+import textwrap
 
 import pytest
+from oracle import components, random_graph
 
+from pqvol import draconian, ehrhart
+from pqvol.combinat import weak_compositions
 from pqvol.draconian import EnumerationCapExceeded, count_draconian
 from pqvol.ehrhart import (
     affine_dimension,
@@ -11,7 +16,8 @@ from pqvol.ehrhart import (
     is_in_dilate,
     polytope_vertices,
 )
-from pqvol.graphs import Graph, complete_graph, delete_path
+from pqvol.flows import transportation_feasible
+from pqvol.graphs import Graph, complete_graph, delete_cycle, delete_path, doubling
 
 
 def test_polytope_vertices_small():
@@ -59,8 +65,6 @@ def test_membership_monotone_along_diagonal():
     rng = random.Random(6)
     g = complete_graph(3)
     for t in (1, 2):
-        from pqvol.combinat import weak_compositions
-
         points = [
             a + b
             for a in weak_compositions(t, 3)
@@ -116,7 +120,7 @@ def test_refuses_disconnected_and_oversize():
     with pytest.raises(ValueError):
         ehrhart_nvol(Graph.from_edges(4, [(1, 2), (3, 4)]))
     with pytest.raises(EnumerationCapExceeded):
-        ehrhart_nvol(complete_graph(5))
+        ehrhart_nvol(complete_graph(6))
     # but the cap is configurable
     assert ehrhart_nvol(complete_graph(2), cap_n=2).nvol == 2
 
@@ -124,3 +128,66 @@ def test_refuses_disconnected_and_oversize():
 def test_table_dict_shape():
     d = ehrhart_nvol(complete_graph(2)).to_dict()
     assert d == {"dimension": 2, "counts": [1, 4, 9], "nvol": "2"}
+
+
+def flow_count(g, t):
+    """Lattice points of the t-th dilate, one flow check per pair of margins."""
+    masks = doubling(g).masks
+    return sum(transportation_feasible(masks, a, b)
+               for a in weak_compositions(t, g.n) for b in weak_compositions(t, g.n))
+
+
+def test_gale_walk_matches_a_flow_per_pair_of_margins():
+    rng = random.Random("gale")
+    sizes, connected = set(), set()
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        g = Graph.from_edges(n, random_graph(rng, n, rng.choice((0.3, 0.6, 0.9))))
+        sizes.add(n)
+        connected.add(len(components(n, g.edges)) == 1)
+        for t in range(2 * n - 1 if n <= 4 else 4):
+            assert count_dilate_points(g, t) == flow_count(g, t), (g.descriptor(), t)
+    assert sizes == {1, 2, 3, 4, 5} and connected == {True, False}
+
+
+def test_slack_prune_drops_nothing_that_can_break():
+    # an entry whose slack is one less than the weight still to place breaks
+    # when all of it joins the entry: a copy of the walk that prunes it miscounts
+    source = inspect.getsource(ehrhart._count_column_margins)
+    keep = "weight[rows] - s < r"
+    assert source.count(keep) == 1
+    namespace = dict(vars(ehrhart))
+    exec(textwrap.dedent(source.replace(keep, "weight[rows] - s < r - 1")), namespace)
+    early = namespace["_count_column_margins"]
+
+    def early_count(g, t):
+        masks = doubling(g).masks
+        return sum(early((masks, a)) for a in weak_compositions(t, g.n))
+
+    assert early_count(delete_path(4, 2), 2) == 71  # 68 points
+    rng = random.Random("early")
+    wrong = 0
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        g = Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7))))
+        t = rng.randint(1, 2 * n - 2)
+        want = flow_count(g, t)
+        assert count_dilate_points(g, t) == want
+        wrong += early_count(g, t) != want
+    assert wrong >= 8
+
+
+def test_ehrhart_calls_no_draconian_counter(monkeypatch):
+    path = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    graphs = [complete_graph(5), delete_cycle(5, 4), path, delete_path(4, 2)]
+    want = [count_draconian(g).count for g in graphs]
+    assert want[:3] == [70, 36, 16]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the geometric oracle called a draconian counter")
+
+    for name in ("count_draconian", "enumerate_draconian", "_count_walk", "_join",
+                 "is_draconian_subset", "is_draconian_flow"):
+        monkeypatch.setattr(draconian, name, fail)
+        assert not hasattr(ehrhart, name)
+    assert [ehrhart_nvol(g).nvol for g in graphs] == want

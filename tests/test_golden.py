@@ -5,9 +5,10 @@ with its exit code before the refactor it guards: the first six before
 graphs carried adjacency bitmasks, the next four before the subset
 kernel, the engine check and the verify rows were each written once,
 the next two before the subset state kept one entry per neighborhood
-union, and the last one before the graph stream marked every
-relabeling of a class seen.  A refactor that changes any byte of these
-outputs, or an exit code, fails here.
+union, the next one before the graph stream marked every relabeling
+of a class seen, and the last two before dilates were counted by
+Gale's condition instead of one flow per pair of margins.  A refactor
+that changes any byte of these outputs, or an exit code, fails here.
 """
 
 import hashlib
@@ -45,6 +46,11 @@ GOLDEN = [
     # the representative and the order of all 112 six-vertex classes
     (["search", "--n-max", "6"], 0,
      "eaddf2132dd293eeaee54d38e8ea01ee00bcf968a18e7e8c5d62deb811bbfb26"),
+    # every dilate count up to t = 6 of K_4 and of a triangle with a pendant edge
+    (["ehrhart", "--family", "complete:4"], 0,
+     "ad561beecb2972f8c6ef5f614de27ed82fa2fc27b940d7a06caf624363bb592f"),
+    (["ehrhart", "--family", "path-deleted:4,2"], 0,
+     "1b648375e4116127293a04f87ecc251f1e5e857c76747ecdb57e554d9c1f7396"),
 ]
 
 
