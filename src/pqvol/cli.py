@@ -9,7 +9,8 @@ small-graph sweep (search).
 Output is JSON by default (sorted keys, so identical inputs give
 byte-identical bytes); --table renders the same data for reading.
 Exit codes: 0 success, 1 a must-hold identity failed, 2 bad input or
-out-of-range parameters, 3 an enumeration cap was exceeded.  Rows that
+out-of-range parameters, 3 an enumeration cap was exceeded, 141 the
+reader closed stdout early (as `| head` does; 128 + SIGPIPE).  Rows that
 merely document a formula discrepancy do not fail a run; that
 documentation is the point of the verify command.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -296,7 +298,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     g = load_input_graph(args)
-    table = ehrhart_nvol(g, cap_n=args.cap_n, jobs=args.jobs)
+    table = ehrhart_nvol(g, cap_n=args.cap_n)
     payload = {"graph": g.descriptor(), **table.to_dict()}
     lines = [
         f"graph      {g.descriptor()}",
@@ -402,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p)
     p.add_argument("--cap-n", type=int, default=DEFAULT_DILATE_CAP, metavar="N",
                    help=f"dilate-counting cap (default {DEFAULT_DILATE_CAP})")
-    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes (>= 1)")
     add_render(p)
     p.set_defaults(run=cmd_ehrhart)
 
@@ -426,7 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        # flush here so a closed pipe surfaces below, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has all it wants; point stdout at devnull so the final
+        # flush of what is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -59,7 +59,6 @@ from .combinat import weak_compositions
 from .draconian import check_cap
 from .flows import transportation_feasible
 from .graphs import Graph, connected_components, doubling
-from .parallel import map_in_order
 
 DEFAULT_DILATE_CAP = 5
 
@@ -161,13 +160,12 @@ def _join_column(state: dict[int, int], v: int, m: int,
     return out
 
 
-def _count_column_margins(args) -> int:
+def _count_column_margins(masks: Sequence[int], a: Sequence[int]) -> int:
     """The number of column margins b that are feasible with the row margin a.
 
     A walk over the columns under Gale's condition; the state, the
     slack prune and the memo are explained in the module docstring.
     """
-    masks, a = args
     n = len(a)
     # covers live on the k rows with a_i > 0, relabelled 0..k-1; the allowed
     # cells are symmetric, so the rows with a cell in column j are masks[j]
@@ -210,32 +208,29 @@ def _count_column_margins(args) -> int:
     return count
 
 
-def count_dilate_points(g: Graph, t: int, jobs: int = 1) -> int:
+def count_dilate_points(g: Graph, t: int) -> int:
     """Number of lattice points in the t-th dilate: for each row margin a,
     the number of feasible column margins, by Gale's condition."""
     masks = doubling(g).masks
-    tasks = [(masks, a) for a in weak_compositions(t, g.n)]
-    return sum(map_in_order(_count_column_margins, tasks, jobs))
+    return sum(_count_column_margins(masks, a) for a in weak_compositions(t, g.n))
 
 
-def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP, jobs: int = 1,
-                 extra_dilates: int = 0) -> EhrhartTable:
+def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP) -> EhrhartTable:
     """Normalized volume of the polytope on a connected graph, geometrically.
 
-    Counts lattice points for t = 0..d (plus extra_dilates more if
-    asked, e.g. to confirm the counter is a degree-d polynomial) and
-    extracts the volume as the d-th finite difference.
+    Counts lattice points for t = 0..d and extracts the volume as the
+    d-th finite difference.
 
     The counting cost per dilate is C(t+n-1, n-1) column walks, one per
     row margin, each growing quickly with n (K_5 takes about 0.4 s, K_6
-    several seconds), so inputs beyond cap_n vertices are refused; raise
-    cap_n to force larger runs.  Disconnected graphs are refused outright: the product
-    rule for counts is a statement about components, and this oracle
-    only certifies the connected case.
+    about 4 s), so inputs beyond cap_n vertices are refused; raise
+    cap_n to force larger runs.  Disconnected graphs are refused
+    outright: the product rule for counts is a statement about
+    components, and this oracle only certifies the connected case.
     """
     if len(connected_components(g)) != 1:
         raise ValueError("the geometric oracle only handles connected graphs")
     check_cap("graph", g.n, cap_n)
     d = affine_dimension(polytope_vertices(g))
-    counts = tuple(count_dilate_points(g, t, jobs=jobs) for t in range(d + 1 + extra_dilates))
+    counts = tuple(count_dilate_points(g, t) for t in range(d + 1))
     return EhrhartTable(dimension=d, counts=counts, nvol=finite_difference(counts, d))

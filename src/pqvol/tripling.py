@@ -21,12 +21,12 @@ all small connected graphs looking for the boundary.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .draconian import count_draconian, enumerate_draconian
 from .graphs import Graph, connected_components, doubling, triangle_extend
-from .parallel import map_in_order
 
 
 def lift_one(c: Sequence[int]) -> tuple[int, ...]:
@@ -250,10 +250,20 @@ def search_triple_recurrence(n_max: int, source: Iterable[Graph] | None = None,
                              jobs: int = 1) -> list[dict]:
     """Sweep (graph, edge) pairs and classify each against the tripling identity.
 
-    Records come back in task order (graphs as streamed, edges sorted),
-    so runs are reproducible regardless of worker count.  A record in
-    the hypotheses-hold:fails class would contradict the theorem; the
-    caller should treat any such record as an alarm.
+    Each graph is one task.  The tasks are spread over min(jobs, tasks,
+    cores) worker processes, and run in this process when that is at
+    most one.  Records come back in task order (graphs as streamed,
+    edges sorted), so runs are reproducible regardless of worker count.
+    A record in the hypotheses-hold:fails class would contradict the
+    theorem; the caller should treat any such record as an alarm.
     """
-    graphs = source if source is not None else connected_graph_stream(n_max)
-    return [r for records in map_in_order(_search_task, list(graphs), jobs) for r in records]
+    graphs = list(source if source is not None else connected_graph_stream(n_max))
+    workers = min(jobs, len(graphs), os.cpu_count() or 1)
+    if workers <= 1:
+        results = map(_search_task, graphs)
+    else:
+        # imported here so that a run without a pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_search_task, graphs))
+    return [r for records in results for r in records]

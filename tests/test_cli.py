@@ -5,18 +5,25 @@ shipped schema; that contract is what downstream tooling consumes.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import pqvol
 from pqvol import cli, draconian, ehrhart, lost_sequences, tripling
 from pqvol.cli import main
 from pqvol.draconian import count_draconian, enumerate_draconian
 from pqvol.graphs import MAX_VERTICES
 
 SCHEMA = json.loads((files("pqvol") / "schemas" / "report.schema.json").read_text())
+# for a fresh interpreter: import the package from where this one found it
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(pqvol.__file__).parents[1]))
 
 
 def run(capsys, *argv):
@@ -125,6 +132,7 @@ def test_huge_vertex_count_refused_at_line_one(capsys, tmp_path):
     assert "line 1" in err
 
 
+# ehrhart has no --jobs option, so argparse refuses the flag there too
 @pytest.mark.parametrize("command", [["search", "--n-max", "3"],
                                      ["ehrhart", "--family", "complete:2"]])
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -133,6 +141,33 @@ def test_jobs_below_one_refused(capsys, command, jobs):
         main(command + ["--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_ehrhart_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ehrhart", "--family", "complete:3", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_import_loads_no_process_pool():
+    code = "import sys, pqvol.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # K_9's list is 231 KB, more than a pipe buffer holds, so the writer
+    # is still printing when the reader goes away
+    proc = subprocess.Popen([sys.executable, "-m", "pqvol.cli", "count", "--family", "complete:9",
+                             "--list"], env=CHILD_ENV, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0 8\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_missing_graph_source(capsys):

@@ -6,8 +6,9 @@ graphs carried adjacency bitmasks, the next four before the subset
 kernel, the engine check and the verify rows were each written once,
 the next two before the subset state kept one entry per neighborhood
 union, the next one before the graph stream marked every relabeling
-of a class seen, and the last two before dilates were counted by
-Gale's condition instead of one flow per pair of margins.  A refactor
+of a class seen, the next two before dilates were counted by Gale's
+condition instead of one flow per pair of margins, and the last two
+before the dilate counter lost its process pool.  A refactor
 that changes any byte of these outputs, or an exit code, fails here.
 """
 
@@ -51,6 +52,11 @@ GOLDEN = [
      "ad561beecb2972f8c6ef5f614de27ed82fa2fc27b940d7a06caf624363bb592f"),
     (["ehrhart", "--family", "path-deleted:4,2"], 0,
      "1b648375e4116127293a04f87ecc251f1e5e857c76747ecdb57e554d9c1f7396"),
+    # every dilate count of two 5-vertex graphs, K_5 in the table rendering
+    (["ehrhart", "--family", "cycle-deleted:5,4"], 0,
+     "f006a437225c462060d484ac6e4f5390e70d25c964dd5a018be2cfaa3e1e7b24"),
+    (["ehrhart", "--family", "complete:5", "--table"], 0,
+     "b7050fcab23797fb77e6bbaed6831f6d86b3f4ab4b7f9b450216913070bebd65"),
 ]
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from pqvol import tripling
@@ -166,6 +168,55 @@ def test_search_is_deterministic_and_parallelizable():
     parallel = search_triple_recurrence(4, jobs=2)
     assert serial == parallel
     assert serial == search_triple_recurrence(4, jobs=1)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    return RecordingPool.sizes
+
+
+def test_search_pool_is_capped_by_tasks_and_cores(recording_pool, monkeypatch):
+    graphs = [complete_graph(2), complete_graph(3), Graph.from_edges(3, [(1, 2), (2, 3)])]
+    expected = search_triple_recurrence(0, source=graphs)
+    cores = os.cpu_count() or 1
+    assert search_triple_recurrence(0, source=graphs, jobs=10**6) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert search_triple_recurrence(0, source=graphs, jobs=10**6) == expected
+    # this machine's cores, then three tasks on 64 cores
+    assert recording_pool == [w for w in (min(3, cores), 3) if w > 1]
+
+
+def test_search_starts_no_pool_for_one_worker_or_task(recording_pool):
+    assert len(search_triple_recurrence(0, source=[complete_graph(3)], jobs=10**6)) == 3
+    assert len(search_triple_recurrence(4, jobs=1)) == 31
+    assert recording_pool == []
+
+
+def test_search_of_empty_source_is_empty(recording_pool):
+    assert search_triple_recurrence(0, source=[], jobs=4) == []
+    assert recording_pool == []
 
 
 def test_search_accepts_custom_source():
