@@ -24,14 +24,8 @@ import sys
 from fractions import Fraction
 
 from . import formulas, lost_sequences
-from .draconian import (
-    ENGINES,
-    EnumerationCapExceeded,
-    check_cap,
-    count_draconian,
-    enumerate_draconian,
-)
-from .ehrhart import DEFAULT_DILATE_CAP, ehrhart_nvol
+from .draconian import ENGINES, EnumerationCapExceeded, count_draconian, enumerate_draconian
+from .ehrhart import ehrhart_nvol
 from .graphs import (
     MAX_VERTICES,
     Graph,
@@ -48,10 +42,33 @@ from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_pa
 
 FAMILIES = ("complete", "matching-triangles", "path-deleted", "cycle-deleted")
 DEFAULT_COUNT_CAP = 10
+# verify lists all C(2n-2, n-1) weak compositions of K_n: 12870 at n = 9
+DEFAULT_VERIFY_CAP = 9
+# ehrhart's column walks: K_5 takes about 0.4 s, K_6 about 4 s
+DEFAULT_DILATE_CAP = 5
 
 
 class UsageError(ValueError):
     """Bad family spec, range, or precondition; maps to exit code 2."""
+
+
+def check_cap(what: str, size: int, cap: int):
+    """Refuse an input whose vertex count is over cap (exit 3).
+
+    Every size bound in the package is checked here, by the command,
+    before any work starts, so each refusal reads the same: the
+    quantity, its size, the cap and the option.
+    """
+    if size > cap:
+        raise EnumerationCapExceeded(
+            f"{what} has {size} vertices, over the cap {cap}; raise --cap-n to force this"
+        )
+
+
+def family_size(name: str, params: tuple[int, ...]) -> int:
+    """Vertex count of a family member: n, or n + m for matching-triangles:n,m,
+    which glues one apex per matching edge."""
+    return sum(params) if name == "matching-triangles" else params[0]
 
 
 def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...]]:
@@ -74,8 +91,7 @@ def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...
     want = 1 if name == "complete" else 2
     if len(params) != want:
         raise UsageError(f"family {name} takes {want} parameter(s), got {len(params)}")
-    # matching-triangles:n,m glues one apex per matching edge: n + m vertices
-    size = sum(params) if name == "matching-triangles" else params[0]
+    size = family_size(name, params)
     if cap is not None:
         check_cap(f"family {spec}", size, cap)
     if size > MAX_VERTICES:
@@ -183,7 +199,7 @@ def cmd_formula(args) -> int:
     return 0
 
 
-def _matching_row(n: int, m: int, cap_n: int) -> dict:
+def _matching_row(n: int, m: int) -> dict:
     formula = formulas.nvol_matching_triangles(n, m)
     if m == 0:
         enum, partition_holds = count_draconian(complete_graph(n)).count, None
@@ -203,8 +219,8 @@ def _matching_row(n: int, m: int, cap_n: int) -> dict:
     }
 
 
-def _path_row(n: int, m: int, cap_n: int) -> dict:
-    report = lost_sequences.verify_path_identity(n, m, cap_n=cap_n)
+def _path_row(n: int, m: int) -> dict:
+    report = lost_sequences.verify_path_identity(n, m)
     readings = formulas.nvol_path_deleted(n, m)
     actual = report.cardinalities["actual"]
     enum = actual["deleted_count"]
@@ -226,8 +242,8 @@ def _path_row(n: int, m: int, cap_n: int) -> dict:
     }
 
 
-def _cycle_row(n: int, m: int, cap_n: int) -> dict:
-    report = lost_sequences.verify_cycle_identity(n, m, cap_n=cap_n)
+def _cycle_row(n: int, m: int) -> dict:
+    report = lost_sequences.verify_cycle_identity(n, m)
     formula = formulas.nvol_cycle_deleted(n, m)
     enum = report.cardinalities["actual"]["deleted_count"]
     return {
@@ -241,8 +257,8 @@ def _cycle_row(n: int, m: int, cap_n: int) -> dict:
     }
 
 
-# family -> (smallest n, valid m range at n, row builder(n, m, cap_n));
-# cmd_verify refuses an m outside that range before any row is built
+# family -> (smallest n, valid m range at n, row builder(n, m)); cmd_verify
+# refuses an n or m outside those ranges before any row is built
 VERIFY_FAMILIES = {
     "matching-triangles": (2, lambda n: (0, n // 2), _matching_row),
     "path-deleted": (4, lambda n: (2, n - 1), _path_row),
@@ -271,25 +287,31 @@ def cmd_verify(args) -> int:
     if args.family not in VERIFY_FAMILIES:
         raise UsageError(f"verify knows {', '.join(VERIFY_FAMILIES)}; got {args.family!r}")
     smallest, m_range, build = VERIFY_FAMILIES[args.family]
+
+    def size(row: tuple[int, int]) -> int:
+        return family_size(args.family, row)
+
+    # an open top of --n is the largest n whose largest row, (n, top m at n), fits;
+    # an explicit top is checked against the cap before --m is read
     top = args.cap_n
-    if args.family == "matching-triangles":
-        # an open --n stops at the largest n whose largest row, n + (top m at n), fits
-        while top > smallest and top + parse_range(args.m, *m_range(top))[-1] > args.cap_n:
+    if args.n.strip().endswith(".."):
+        while top > smallest and size((top, parse_range(args.m, *m_range(top))[-1])) > args.cap_n:
             top -= 1
     ns = parse_range(args.n, smallest, top)
     check_cap(f"K_{ns[-1]}, the top of --n {args.n},", ns[-1], args.cap_n)
+    if ns[0] < smallest:
+        raise UsageError(f"need n >= {smallest}, got {ns[0]}")
     ms = {}
     for n in ns:
         lo, hi = m_range(n)
         ms[n] = parse_range(args.m, lo, hi)
         if ms[n][0] < lo or ms[n][-1] > hi:
             raise UsageError(f"--m {args.m} is outside {lo}..{hi} at n = {n}")
-    if args.family == "matching-triangles":
-        # row (n, m) enumerates matching-triangles:n,m and its step base, on n + m vertices
-        n, m = max(((n, ms[n][-1]) for n in ns), key=sum)
-        check_cap(f"matching-triangles:{n},{m}, the largest graph of --n {args.n} --m {args.m},",
-                  n + m, args.cap_n)
-    rows = [build(n, m, args.cap_n) for n in ns for m in ms[n]]
+    # row (n, m) enumerates graphs of at most size((n, m)) vertices
+    n, m = max(((n, ms[n][-1]) for n in ns), key=size)
+    check_cap(f"{args.family}:{n},{m}, the largest graph of --n {args.n} --m {args.m},",
+              size((n, m)), args.cap_n)
+    rows = [build(n, m) for n in ns for m in ms[n]]
     ok = all(row["must_hold"] for row in rows)
     payload = {"family": args.family, "rows": rows, "all_must_hold": ok}
     emit(args, payload, map(_verify_line, rows))
@@ -298,7 +320,8 @@ def cmd_verify(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     g = load_input_graph(args)
-    table = ehrhart_nvol(g, cap_n=args.cap_n)
+    check_cap("graph", g.n, args.cap_n)
+    table = ehrhart_nvol(g)
     payload = {"graph": g.descriptor(), **table.to_dict()}
     lines = [
         f"graph      {g.descriptor()}",
@@ -371,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", help="family spec, e.g. complete:5 or path-deleted:5,2")
 
     def add_render(p):
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON output (the default)")
-        fmt.add_argument("--table", action="store_true", help="human-readable output")
+        p.add_argument("--table", action="store_true", help="human-readable output, not JSON")
 
     p = sub.add_parser("count", help="count draconian sequences / normalized volume")
     add_graph_source(p)
@@ -395,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", required=True, help="value or range a..b")
     p.add_argument("--m", default="..", help="value or range a..b (default: all valid)")
-    p.add_argument("--cap-n", type=int, default=lost_sequences.DEFAULT_VERIFY_CAP, metavar="N",
-                   help=f"enumeration cap (default {lost_sequences.DEFAULT_VERIFY_CAP})")
+    p.add_argument("--cap-n", type=int, default=DEFAULT_VERIFY_CAP, metavar="N",
+                   help=f"enumeration cap (default {DEFAULT_VERIFY_CAP})")
     add_render(p)
     p.set_defaults(run=cmd_verify)
 

@@ -65,18 +65,6 @@ class EnumerationCapExceeded(RuntimeError):
     """An instance is larger than the configured enumeration cap allows."""
 
 
-def check_cap(what: str, size: int, cap: int):
-    """Refuse an input whose vertex count is over cap (exit 3 on the command line).
-
-    Every size bound in the package goes through here, so each refusal
-    reads the same: the quantity, its size, the cap and the option.
-    """
-    if size > cap:
-        raise EnumerationCapExceeded(
-            f"{what} has {size} vertices, over the cap {cap}; raise --cap-n to force this"
-        )
-
-
 def _check_sequence(d: BipartiteDouble, c: Sequence[int]):
     if len(c) != d.n:
         raise ValueError(f"sequence length {len(c)} does not match n = {d.n}")

@@ -56,11 +56,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinat import weak_compositions
-from .draconian import check_cap
 from .flows import transportation_feasible
 from .graphs import Graph, connected_components, doubling
-
-DEFAULT_DILATE_CAP = 5
 
 
 def polytope_vertices(g: Graph) -> list[tuple[int, ...]]:
@@ -215,7 +212,7 @@ def count_dilate_points(g: Graph, t: int) -> int:
     return sum(_count_column_margins(masks, a) for a in weak_compositions(t, g.n))
 
 
-def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP) -> EhrhartTable:
+def ehrhart_nvol(g: Graph) -> EhrhartTable:
     """Normalized volume of the polytope on a connected graph, geometrically.
 
     Counts lattice points for t = 0..d and extracts the volume as the
@@ -223,14 +220,12 @@ def ehrhart_nvol(g: Graph, cap_n: int = DEFAULT_DILATE_CAP) -> EhrhartTable:
 
     The counting cost per dilate is C(t+n-1, n-1) column walks, one per
     row margin, each growing quickly with n (K_5 takes about 0.4 s, K_6
-    about 4 s), so inputs beyond cap_n vertices are refused; raise
-    cap_n to force larger runs.  Disconnected graphs are refused
-    outright: the product rule for counts is a statement about
-    components, and this oracle only certifies the connected case.
+    about 4 s).  Disconnected graphs are refused: the product rule for
+    counts is a statement about components, and this oracle only
+    certifies the connected case.
     """
     if len(connected_components(g)) != 1:
         raise ValueError("the geometric oracle only handles connected graphs")
-    check_cap("graph", g.n, cap_n)
     d = affine_dimension(polytope_vertices(g))
     counts = tuple(count_dilate_points(g, t) for t in range(d + 1))
     return EhrhartTable(dimension=d, counts=counts, nvol=finite_difference(counts, d))

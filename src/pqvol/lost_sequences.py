@@ -25,11 +25,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .combinat import SequenceSet, weak_compositions
-from .draconian import check_cap, enumerate_draconian
+from .draconian import enumerate_draconian
 from .graphs import Graph, cycle_vertices, delete_cycle, delete_path, doubling
-
-# _compare lists all C(2n-2, n-1) weak compositions of K_n: 12870 at n = 9
-DEFAULT_VERIFY_CAP = 9
 
 
 def _unit(n: int, i: int, amount: int) -> tuple[int, ...]:
@@ -177,10 +174,9 @@ def _compare(deleted: Graph, families: dict) -> tuple[dict, SequenceSet]:
     return actual, lost.symmetric_difference(union)
 
 
-def verify_path_identity(n: int, m: int, cap_n: int = DEFAULT_VERIFY_CAP) -> IdentityReport:
+def verify_path_identity(n: int, m: int) -> IdentityReport:
     """Does heavy-union-split equal the sequences lost by deleting the path?"""
     _check_path_params(n, m)
-    check_cap(f"family path-deleted:{n},{m}", n, cap_n)
     heavy = path_heavy_exceptions(n, m)
     split = path_split_exceptions(n, m)
     actual, diff = _compare(delete_path(n, m), {"heavy": heavy, "split": split})
@@ -193,14 +189,13 @@ def verify_path_identity(n: int, m: int, cap_n: int = DEFAULT_VERIFY_CAP) -> Ide
     )
 
 
-def verify_cycle_identity(n: int, m: int, cap_n: int = DEFAULT_VERIFY_CAP) -> IdentityReport:
+def verify_cycle_identity(n: int, m: int) -> IdentityReport:
     """Does the union of cycle families equal the sequences lost by deleting the cycle?
 
     At m = 4 the triple family joins the union.  Pairwise disjointness
     of the deduplicated families is checked alongside the identity.
     """
     _check_cycle_params(n, m)
-    check_cap(f"family cycle-deleted:{n},{m}", n, cap_n)
     families = {"heavy": cycle_heavy_exceptions(n, m), "split": cycle_split_exceptions(n, m)}
     if m == 4:
         families["triple"] = cycle_triple_exceptions(n, m)

@@ -4,6 +4,8 @@ Every JSON payload the commands print must validate against the
 shipped schema; that contract is what downstream tooling consumes.
 """
 
+import ast
+import inspect
 import json
 import os
 import re
@@ -150,6 +152,25 @@ def test_ehrhart_has_no_jobs_option(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_json_flag_is_gone(capsys):
+    # JSON is the only default; --table is the one rendering flag
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "complete:3", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
+def test_library_takes_no_size_cap():
+    # the commands refuse by size; the library computes whatever it is given
+    for node in ast.walk(ast.parse(Path(ehrhart.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            assert not any("draconian" in name.split(".") for name in names), ast.unparse(node)
+    for entry in (lost_sequences.verify_path_identity, lost_sequences.verify_cycle_identity,
+                  ehrhart.ehrhart_nvol):
+        assert "cap_n" not in inspect.signature(entry).parameters, entry.__name__
+
+
 def test_import_loads_no_process_pool():
     code = "import sys, pqvol.cli; print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True,
@@ -222,9 +243,12 @@ def test_formula_bounded_by_vertex_count(monkeypatch, capsys, spec, want):
     ("path-deleted", "5..6", "1..3", "9", 2),
     ("matching-triangles", "9", "4", "9", 3),
     ("matching-triangles", "2..9", "..", "9", 3),
+    # --m is valid at the explicit top n, but empty at n = --cap-n
+    ("cycle-deleted", "11", "10..", "9", 3),
+    ("matching-triangles", "12", "6..", "9", 3),
 ])
 def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, want):
-    def unbuildable(n, m, cap_n):
+    def unbuildable(n, m):
         raise AssertionError(f"row n={n} m={m} was built")
 
     smallest, m_range, _ = cli.VERIFY_FAMILIES[family]
@@ -236,13 +260,26 @@ def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, 
     assert ("--cap-n" if want == 3 else "--m") in err
 
 
+@pytest.mark.parametrize("family, n", [("path-deleted", "2"), ("path-deleted", "-2"),
+                                       ("cycle-deleted", "4"), ("matching-triangles", "1")])
+def test_verify_n_below_family_minimum_refused(monkeypatch, capsys, family, n):
+    def unbuildable(n, m):
+        raise AssertionError(f"row n={n} m={m} was built")
+
+    smallest, m_range, _ = cli.VERIFY_FAMILIES[family]
+    monkeypatch.setitem(cli.VERIFY_FAMILIES, family, (smallest, m_range, unbuildable))
+    code, out, err = run(capsys, "verify", "--family", family, "--n", n)
+    assert code == 2 and out == ""
+    assert f"n >= {smallest}" in err
+
+
 @pytest.mark.parametrize("n, m, top", [("2..", "..", 6), ("..", "..", 6), ("2..", "1", 8)])
 def test_verify_matching_open_top_stops_at_the_largest_row_that_fits(monkeypatch, capsys,
                                                                       n, m, top):
     # at the default cap 9 the open top is the largest n with n + (top m at n) <= 9
     built = []
 
-    def row(n, m, cap_n):
+    def row(n, m):
         built.append((n, m))
         return {"n": n, "m": m, "must_hold": True}
 

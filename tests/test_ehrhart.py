@@ -7,7 +7,7 @@ from oracle import components, random_graph
 
 from pqvol import draconian, ehrhart
 from pqvol.combinat import weak_compositions
-from pqvol.draconian import EnumerationCapExceeded, count_draconian
+from pqvol.draconian import count_draconian
 from pqvol.ehrhart import (
     affine_dimension,
     count_dilate_points,
@@ -113,12 +113,9 @@ def test_finite_difference_validates():
 
 
 def test_refuses_disconnected_and_oversize():
+    # the size cap is the command's (test_cli.py::test_ehrhart_command)
     with pytest.raises(ValueError):
         ehrhart_nvol(Graph.from_edges(4, [(1, 2), (3, 4)]))
-    with pytest.raises(EnumerationCapExceeded):
-        ehrhart_nvol(complete_graph(6))
-    # but the cap is configurable
-    assert ehrhart_nvol(complete_graph(2), cap_n=2).nvol == 2
 
 
 def test_table_dict_shape():
