@@ -42,7 +42,7 @@ from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_pa
 
 FAMILIES = ("complete", "matching-triangles", "path-deleted", "cycle-deleted")
 DEFAULT_COUNT_CAP = 10
-# verify lists all C(2n-2, n-1) weak compositions of K_n: 12870 at n = 9
+# path and cycle rows count, but matching-triangles rows list both graphs of a step
 DEFAULT_VERIFY_CAP = 9
 # ehrhart's column walks: K_5 takes about 0.4 s, K_6 about 4 s
 DEFAULT_DILATE_CAP = 5

@@ -110,19 +110,13 @@ def _engine(name: str) -> str:
     return name
 
 
-def is_draconian_subset(d: BipartiteDouble, c: Sequence[int], *,
-                        all_subsets: bool = False) -> bool:
-    """Subset-inequality test.
-
-    By default only the vertices in the support of c are joined, which
-    is equivalent to the definition.  all_subsets=True joins every
-    vertex, zero entries included, so every nonempty subset takes part
-    in the state; it is the literal reference for that equivalence.
-    """
+def is_draconian_subset(d: BipartiteDouble, c: Sequence[int]) -> bool:
+    """Subset-inequality test over the subsets of the support of c, which is
+    equivalent to the definition (module docstring)."""
     _check_sequence(d, c)
-    idx = range(d.n) if all_subsets else [i for i, v in enumerate(c) if v > 0]
     state = {0: 0}
-    return all((state := _join(state, c[i], d.masks[i])) is not None for i in idx)
+    return all((state := _join(state, v, d.masks[i])) is not None
+               for i, v in enumerate(c) if v > 0)
 
 
 def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:

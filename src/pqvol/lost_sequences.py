@@ -2,8 +2,9 @@
 
 Deleting a path or a cycle from a complete graph removes a precisely
 describable family of sequences from the draconian set.  This module
-builds those families explicitly and verifies, by exhaustive
-enumeration, that they account for every lost sequence.
+builds those families explicitly and verifies, from the two draconian
+counts and one membership test per family member, that they account
+for every lost sequence.
 
 Conventions follow graphs.delete_path and graphs.delete_cycle: the
 deleted path runs along the last m+1 vertices, the deleted m-cycle
@@ -21,11 +22,12 @@ side rather than reconciling them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 from .combinat import SequenceSet, weak_compositions
-from .draconian import enumerate_draconian
+from .draconian import count_draconian, is_draconian_subset
 from .graphs import Graph, cycle_vertices, delete_cycle, delete_path, doubling
 
 
@@ -140,7 +142,7 @@ def claimed_cycle_sizes(n: int, m: int) -> dict:
 
 @dataclass
 class IdentityReport:
-    """Comparison of an exception-set construction against enumeration."""
+    """Comparison of an exception-set construction against the lost set."""
 
     params: dict
     identity_holds: bool
@@ -160,18 +162,32 @@ class IdentityReport:
         return out
 
 
-def _compare(deleted: Graph, families: dict) -> tuple[dict, SequenceSet]:
-    """Cardinalities for a deleted graph; symmetric difference of lost set and union."""
+def _compare(deleted: Graph, families: dict) -> tuple[dict, list]:
+    """Cardinalities for a deleted graph; symmetric difference of lost set and union.
+
+    Nothing is listed while the identity holds.  Every weak composition
+    of n-1 is draconian for K_n (each N(S) has all n vertices), so K_n
+    has C(2n-2, n-1); every valid deletion leaves a connected graph, so
+    count_draconian is its draconian count.  A union member is stray
+    when it is no composition of n-1 or is draconian for the deletion;
+    the rest are lost, so the union is the lost set exactly when nothing
+    is stray and the rest number complete - deleted.  Only otherwise are
+    the compositions walked, for the lost sequences the union misses.
+    """
     n = deleted.n
-    # every weak composition of n-1 is draconian for K_n: there each N(S) has all n vertices
-    full = list(weak_compositions(n - 1, n))
-    kept = set(enumerate_draconian(doubling(deleted)))
-    lost = SequenceSet.of(n, (c for c in full if c not in kept))
+    d = doubling(deleted)
+    complete = math.comb(2 * n - 2, n - 1)
+    kept = count_draconian(deleted).count
     union = reduce(SequenceSet.union, families.values())
+    stray = [c for c in union if sum(c) != n - 1 or is_draconian_subset(d, c)]
+    missing = []
+    if len(union) - len(stray) != complete - kept:
+        missing = [c for c in weak_compositions(n - 1, n)
+                   if c not in union and not is_draconian_subset(d, c)]
     actual = {name: len(fam) for name, fam in families.items()}
-    actual.update(union=len(union), lost=len(lost), complete_count=len(full),
-                  deleted_count=len(kept))
-    return actual, lost.symmetric_difference(union)
+    actual.update(union=len(union), lost=complete - kept, complete_count=complete,
+                  deleted_count=kept)
+    return actual, sorted(stray + missing)
 
 
 def verify_path_identity(n: int, m: int) -> IdentityReport:
@@ -185,7 +201,7 @@ def verify_path_identity(n: int, m: int) -> IdentityReport:
         params={"family": "path-deleted", "n": n, "m": m},
         identity_holds=len(diff) == 0,
         cardinalities={"claimed": claimed_path_sizes(n, m), "actual": actual},
-        symmetric_difference=list(diff),
+        symmetric_difference=diff,
     )
 
 
@@ -204,6 +220,6 @@ def verify_cycle_identity(n: int, m: int) -> IdentityReport:
         params={"family": "cycle-deleted", "n": n, "m": m},
         identity_holds=len(diff) == 0,
         cardinalities={"claimed": claimed_cycle_sizes(n, m), "actual": actual},
-        symmetric_difference=list(diff),
+        symmetric_difference=diff,
         pairwise_disjoint=actual["union"] == sum(len(f) for f in families.values()),
     )

@@ -324,6 +324,16 @@ def test_verify_cycle_flags_m4(capsys):
     assert by_m[4]["identity"]["pairwise_disjoint"]
 
 
+@pytest.mark.parametrize("family", ["path-deleted", "cycle-deleted"])
+def test_verify_counts_past_the_default_cap(capsys, family):
+    # path and cycle rows count both graphs, so n = 12 needs no listing
+    payload = run_json(capsys, "verify", "--family", family, "--n", "12", "--cap-n", "12")
+    assert payload["all_must_hold"]
+    for row in payload["rows"]:
+        actual = row["identity"]["cardinalities"]["actual"]
+        assert actual["lost"] == actual["union"], row["m"]
+
+
 def test_verify_rejects_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--family", "complete", "--n", "4")
     assert code == 2
@@ -445,10 +455,11 @@ def test_every_cap_refusal_comes_before_any_work(monkeypatch, capsys, tmp_path, 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the cap was checked")
 
-    for module in (cli, draconian, lost_sequences, tripling):
+    for module in (cli, draconian, tripling):
         monkeypatch.setattr(module, "enumerate_draconian", no_work)
-    for module in (cli, tripling):
+    for module in (cli, lost_sequences, tripling):
         monkeypatch.setattr(module, "count_draconian", no_work)
+    monkeypatch.setattr(lost_sequences, "is_draconian_subset", no_work)
     monkeypatch.setattr(ehrhart, "count_dilate_points", no_work)
     if text is not None:
         path = tmp_path / "g.txt"

@@ -1,5 +1,10 @@
+import json
+
 import pytest
 
+from pqvol import lost_sequences
+from pqvol.cli import main
+from pqvol.combinat import SequenceSet
 from pqvol.draconian import enumerate_draconian, is_draconian_subset
 from pqvol.graphs import complete_graph, delete_cycle, delete_path, doubling
 from pqvol.lost_sequences import (
@@ -179,12 +184,58 @@ def test_report_shape():
 
 def test_lost_set_agrees_with_complete_graph_enumeration():
     # the reference: lost = draconian for K_n minus draconian for the deletion
-    for n, m, verify, delete in ((6, 3, verify_path_identity, delete_path),
-                                 (6, 4, verify_cycle_identity, delete_cycle),
-                                 (7, 5, verify_cycle_identity, delete_cycle)):
+    cases = [(n, m, verify_path_identity, delete_path) for n in range(4, 8) for m in range(2, n)]
+    cases += [(n, m, verify_cycle_identity, delete_cycle)
+              for n in range(5, 8) for m in range(3, n + 1)]
+    for n, m, verify, delete in cases:
         full = enumerate_draconian(doubling(complete_graph(n)))
         kept = set(enumerate_draconian(doubling(delete(n, m))))
         actual = verify(n, m).cardinalities["actual"]
-        assert actual["complete_count"] == len(full)
-        assert actual["deleted_count"] == len(kept)
-        assert actual["lost"] == sum(1 for c in full if c not in kept)
+        assert actual["complete_count"] == len(full), (n, m)
+        assert actual["deleted_count"] == len(kept), (n, m)
+        assert actual["lost"] == sum(1 for c in full if c not in kept), (n, m)
+
+
+def _patch_split(monkeypatch, edit):
+    """Make verify_cycle_identity see edit(members) as cycle_split_exceptions(6, 5)."""
+    members = list(cycle_split_exceptions(6, 5))
+    monkeypatch.setattr(lost_sequences, "cycle_split_exceptions",
+                        lambda n, m: SequenceSet.of(n, edit(list(members))))
+    return members
+
+
+def _failed(capsys, want):
+    rep = verify_cycle_identity(6, 5)
+    assert not rep.identity_holds
+    assert rep.symmetric_difference == sorted(want)
+    code = main(["verify", "--family", "cycle-deleted", "--n", "6", "--m", "5", "--table"])
+    assert code == 1
+    assert "MUST-HOLD FAILED" in capsys.readouterr().out
+
+
+def test_identity_names_a_member_of_the_wrong_sum(monkeypatch, capsys):
+    # not a composition of n - 1, so never draconian: it must not pass for a lost one
+    members = _patch_split(monkeypatch, lambda ms: ms[1:] + [(6, 0, 0, 0, 0, 0)])
+    _failed(capsys, [members[0], (6, 0, 0, 0, 0, 0)])
+
+
+def test_identity_names_a_member_the_deletion_keeps(monkeypatch, capsys):
+    kept = enumerate_draconian(doubling(delete_cycle(6, 5)))[0]
+    _patch_split(monkeypatch, lambda ms: ms + [kept])
+    _failed(capsys, [kept])
+
+
+def test_identity_names_a_lost_sequence_the_union_misses(monkeypatch, capsys):
+    members = _patch_split(monkeypatch, lambda ms: ms[1:])
+    _failed(capsys, [members[0]])
+
+
+def test_identity_lists_no_composition_when_it_holds(monkeypatch, capsys):
+    def no_listing(*args):
+        raise AssertionError("the identity listed the compositions of n - 1")
+
+    monkeypatch.setattr(lost_sequences, "weak_compositions", no_listing)
+    for family, ns in (("path-deleted", "4..9"), ("cycle-deleted", "5..9")):
+        assert main(["verify", "--family", family, "--n", ns]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert all(row["must_hold"] and row["identity"]["identity_holds"] for row in rows)
