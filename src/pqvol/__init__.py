@@ -28,7 +28,6 @@ from .formulas import (
 )
 from .graphs import (
     BipartiteDouble,
-    Component,
     Graph,
     GraphFormatError,
     Matching,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteDouble",
-    "Component",
     "EhrhartTable",
     "EnumerationCapExceeded",
     "Graph",

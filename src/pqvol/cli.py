@@ -42,8 +42,6 @@ from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_pa
 
 FAMILIES = ("complete", "matching-triangles", "path-deleted", "cycle-deleted")
 DEFAULT_COUNT_CAP = 10
-# path and cycle rows count, but matching-triangles rows list both graphs of a step
-DEFAULT_VERIFY_CAP = 9
 # ehrhart's column walks: K_5 takes about 0.4 s, K_6 about 4 s
 DEFAULT_DILATE_CAP = 5
 
@@ -167,7 +165,7 @@ def emit(args, payload: dict, table_lines) -> None:
 def cmd_count(args) -> int:
     g = load_input_graph(args)
     comps = connected_components(g)
-    check_cap("largest component", max(part.graph.n for part in comps), args.cap_n)
+    check_cap("largest component", max(map(len, comps)), args.cap_n)
     if args.list:
         if len(comps) != 1:
             raise UsageError(
@@ -416,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", required=True, help="value or range a..b")
     p.add_argument("--m", default="..", help="value or range a..b (default: all valid)")
-    p.add_argument("--cap-n", type=int, default=DEFAULT_VERIFY_CAP, metavar="N",
-                   help=f"enumeration cap (default {DEFAULT_VERIFY_CAP})")
+    p.add_argument("--cap-n", type=int, default=DEFAULT_COUNT_CAP, metavar="N",
+                   help=f"enumeration cap (default {DEFAULT_COUNT_CAP})")
     add_render(p)
     p.set_defaults(run=cmd_verify)
 

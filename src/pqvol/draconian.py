@@ -265,7 +265,7 @@ def count_draconian(g: Graph, engine: str = "subset") -> VolumeReport:
     notes = []
     if len(comps) > 1:
         notes.append(f"disconnected: product over {len(comps)} components")
-        isolated = sum(1 for part in comps if part.graph.n == 1)
+        isolated = sum(1 for part in comps if len(part) == 1)
         if isolated:
             notes.append(f"{isolated} isolated vertex component(s) contribute factor 1")
     elapsed = round((time.perf_counter() - start) * 1000.0, 3)

@@ -213,17 +213,6 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     return Graph(g.n, frozenset(_as_edge(p[u - 1], p[v - 1]) for u, v in g.edges))
 
 
-@dataclass(frozen=True)
-class Component:
-    """A connected component, relabeled to 1..k, with its original vertices.
-
-    vertices[i-1] is the label in the parent graph of the component's vertex i.
-    """
-
-    graph: Graph
-    vertices: tuple[int, ...]
-
-
 def _induced(g: Graph, mask: int) -> Graph:
     """The subgraph of g induced on the vertices of mask, relabeled to 1..k in ascending order."""
     verts = _bits(mask)
@@ -232,8 +221,8 @@ def _induced(g: Graph, mask: int) -> Graph:
     return Graph(len(verts), edges)
 
 
-def connected_components(g: Graph) -> list[Component]:
-    """Components ordered by smallest original vertex, each relabeled to 1..k."""
+def connected_components(g: Graph) -> list[tuple[int, ...]]:
+    """The vertices of each component, ascending, components ordered by smallest vertex."""
     unseen = (1 << g.n) - 1
     out = []
     while unseen:
@@ -244,7 +233,7 @@ def connected_components(g: Graph) -> list[Component]:
             block |= grown
             frontier = (frontier ^ low) | grown
         unseen &= ~block
-        out.append(Component(_induced(g, block), tuple(_bits(block))))
+        out.append(tuple(_bits(block)))
     return out
 
 

@@ -22,11 +22,12 @@ side rather than reconciling them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .combinat import SequenceSet, weak_compositions
+from .combinat import SequenceSet
 from .draconian import count_draconian, is_draconian_subset
 from .graphs import Graph, cycle_vertices, delete_cycle, delete_path, doubling
 
@@ -162,6 +163,19 @@ class IdentityReport:
         return out
 
 
+def _lost_candidates(n: int) -> set[tuple[int, ...]]:
+    """Weak compositions of n-1 with two entries summing to n-2 or more:
+    n-2 split across a pair, plus a unit anywhere.
+
+    Every sequence lost by deleting a path or cycle H from K_n is one.  It
+    breaks c(S) < |N(S)| in K_n - H for some S.  A vertex outside S misses
+    N(S) only if it is an H-neighbour of all of S, and H has maximum degree
+    2, so S has at most two vertices (else |N(S)| = n > c(S)) and c(S) >= n-2.
+    """
+    return {_bump(_bump(_unit(n, k, 1), i, r), j, n - 2 - r) for k in range(1, n + 1)
+            for i, j in itertools.combinations(range(1, n + 1), 2) for r in range(n - 1)}
+
+
 def _compare(deleted: Graph, families: dict) -> tuple[dict, list]:
     """Cardinalities for a deleted graph; symmetric difference of lost set and union.
 
@@ -171,8 +185,8 @@ def _compare(deleted: Graph, families: dict) -> tuple[dict, list]:
     count_draconian is its draconian count.  A union member is stray
     when it is no composition of n-1 or is draconian for the deletion;
     the rest are lost, so the union is the lost set exactly when nothing
-    is stray and the rest number complete - deleted.  Only otherwise are
-    the compositions walked, for the lost sequences the union misses.
+    is stray and the rest number complete - deleted.  Only otherwise is
+    _lost_candidates searched for the lost sequences the union misses.
     """
     n = deleted.n
     d = doubling(deleted)
@@ -182,7 +196,7 @@ def _compare(deleted: Graph, families: dict) -> tuple[dict, list]:
     stray = [c for c in union if sum(c) != n - 1 or is_draconian_subset(d, c)]
     missing = []
     if len(union) - len(stray) != complete - kept:
-        missing = [c for c in weak_compositions(n - 1, n)
+        missing = [c for c in _lost_candidates(n)
                    if c not in union and not is_draconian_subset(d, c)]
     actual = {name: len(fam) for name, fam in families.items()}
     actual.update(union=len(union), lost=complete - kept, complete_count=complete,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .draconian import count_draconian, enumerate_draconian
 from .graphs import Graph, connected_components, doubling, triangle_extend
@@ -246,8 +246,7 @@ def _search_task(g: Graph) -> list[dict]:
     return records
 
 
-def search_triple_recurrence(n_max: int, source: Iterable[Graph] | None = None,
-                             jobs: int = 1) -> list[dict]:
+def search_triple_recurrence(n_max: int, jobs: int = 1) -> list[dict]:
     """Sweep (graph, edge) pairs and classify each against the tripling identity.
 
     Each graph is one task.  The tasks are spread over min(jobs, tasks,
@@ -257,7 +256,7 @@ def search_triple_recurrence(n_max: int, source: Iterable[Graph] | None = None,
     A record in the hypotheses-hold:fails class would contradict the
     theorem; the caller should treat any such record as an alarm.
     """
-    graphs = list(source if source is not None else connected_graph_stream(n_max))
+    graphs = list(connected_graph_stream(n_max))
     workers = min(jobs, len(graphs), os.cpu_count() or 1)
     if workers <= 1:
         results = map(_search_task, graphs)

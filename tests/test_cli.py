@@ -273,10 +273,10 @@ def test_verify_n_below_family_minimum_refused(monkeypatch, capsys, family, n):
     assert f"n >= {smallest}" in err
 
 
-@pytest.mark.parametrize("n, m, top", [("2..", "..", 6), ("..", "..", 6), ("2..", "1", 8)])
+@pytest.mark.parametrize("n, m, top", [("2..", "..", 7), ("..", "..", 7), ("2..", "1", 9)])
 def test_verify_matching_open_top_stops_at_the_largest_row_that_fits(monkeypatch, capsys,
                                                                       n, m, top):
-    # at the default cap 9 the open top is the largest n with n + (top m at n) <= 9
+    # at the default cap 10 the open top is the largest n with n + (top m at n) <= 10
     built = []
 
     def row(n, m):
@@ -288,7 +288,7 @@ def test_verify_matching_open_top_stops_at_the_largest_row_that_fits(monkeypatch
     code, _, err = run(capsys, "verify", "--family", "matching-triangles", "--n", n, "--m", m)
     assert code == 0, err
     assert built[0][0] == 2 and max(n for n, _ in built) == top
-    assert max(n + m for n, m in built) <= 9
+    assert max(n + m for n, m in built) <= 10
 
 
 def test_verify_matching(capsys):
@@ -322,6 +322,14 @@ def test_verify_cycle_flags_m4(capsys):
     assert by_m[4]["enumeration"] == "36" and by_m[4]["formula"] == "34"
     assert by_m[4]["must_hold"]
     assert by_m[4]["identity"]["pairwise_disjoint"]
+
+
+@pytest.mark.parametrize("family", ["path-deleted", "cycle-deleted"])
+@pytest.mark.parametrize("n", ["10", "9.."])
+def test_verify_reaches_n_10_at_the_default_cap(capsys, family, n):
+    payload = run_json(capsys, "verify", "--family", family, "--n", n)
+    assert payload["all_must_hold"]
+    assert payload["rows"][-1]["n"] == 10
 
 
 @pytest.mark.parametrize("family", ["path-deleted", "cycle-deleted"])
@@ -445,7 +453,7 @@ COMPONENT_OF_11 = "13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 11)) + "12
 @pytest.mark.parametrize("argv, text", [
     (["count"], COMPONENT_OF_11),
     (["count", "--family", "complete:11"], None),
-    (["verify", "--family", "cycle-deleted", "--n", "5..10"], None),
+    (["verify", "--family", "cycle-deleted", "--n", "5..11"], None),
     (["ehrhart"], "6\n1 2\n2 3\n3 4\n4 5\n5 6\n"),
     (["recurrence", "--edge", "1,2"], PATH_1500),
     (["recurrence", "--family", "complete:11", "--edge", "1,2"], None),

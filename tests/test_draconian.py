@@ -160,6 +160,14 @@ def test_trees_count_two_to_the_edges():
     assert count_draconian(path).count == 2 ** 1499
 
 
+def test_cycles_count_n_times_two_to_the_n_minus_two():
+    for n in range(3, 12):
+        cycle = Graph.from_edges(n, [(v, v % n + 1) for v in range(1, n + 1)])
+        engines = ENGINES if n <= 7 else ("subset",)
+        for engine in engines:
+            assert count_draconian(cycle, engine).count == n * 2 ** (n - 2), (n, engine)
+
+
 def test_flow_engine_enumerates_identically():
     for g in [complete_graph(5), delete_cycle(5, 3), Graph.from_edges(4, [(1, 2), (2, 3)])]:
         d = doubling(g)

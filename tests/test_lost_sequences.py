@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from oracle import compositions
 
 from pqvol import lost_sequences
 from pqvol.cli import main
@@ -183,22 +185,31 @@ def test_report_shape():
 
 
 def test_lost_set_agrees_with_complete_graph_enumeration():
-    # the reference: lost = draconian for K_n minus draconian for the deletion
-    cases = [(n, m, verify_path_identity, delete_path) for n in range(4, 8) for m in range(2, n)]
+    # the reference: lost = draconian for K_n minus draconian for the deletion;
+    # every lost sequence has two entries summing to at least n - 2
+    cases = [(n, m, verify_path_identity, delete_path) for n in range(4, 9) for m in range(2, n)]
     cases += [(n, m, verify_cycle_identity, delete_cycle)
-              for n in range(5, 8) for m in range(3, n + 1)]
+              for n in range(5, 9) for m in range(3, n + 1)]
     for n, m, verify, delete in cases:
         full = enumerate_draconian(doubling(complete_graph(n)))
         kept = set(enumerate_draconian(doubling(delete(n, m))))
+        lost = [c for c in full if c not in kept]
         actual = verify(n, m).cardinalities["actual"]
         assert actual["complete_count"] == len(full), (n, m)
         assert actual["deleted_count"] == len(kept), (n, m)
-        assert actual["lost"] == sum(1 for c in full if c not in kept), (n, m)
+        assert actual["lost"] == len(lost), (n, m)
+        assert all(sum(sorted(c)[-2:]) >= n - 2 for c in lost), (n, m)
 
 
-def _patch_split(monkeypatch, edit):
-    """Make verify_cycle_identity see edit(members) as cycle_split_exceptions(6, 5)."""
-    members = list(cycle_split_exceptions(6, 5))
+def test_lost_candidates_are_the_compositions_with_a_heavy_pair():
+    for n in range(2, 9):
+        want = {c for c in compositions(n - 1, n) if sum(sorted(c)[-2:]) >= n - 2}
+        assert lost_sequences._lost_candidates(n) == want, n
+
+
+def _patch_split(monkeypatch, edit, n=6, m=5):
+    """Make verify_cycle_identity see edit(members) as cycle_split_exceptions(n, m)."""
+    members = list(cycle_split_exceptions(n, m))
     monkeypatch.setattr(lost_sequences, "cycle_split_exceptions",
                         lambda n, m: SequenceSet.of(n, edit(list(members))))
     return members
@@ -230,11 +241,29 @@ def test_identity_names_a_lost_sequence_the_union_misses(monkeypatch, capsys):
     _failed(capsys, [members[0]])
 
 
+def test_a_failed_identity_tests_only_the_candidates(monkeypatch):
+    # C(24, 12) = 2704156 compositions of 12 into 13 parts; 8593 candidates
+    members = _patch_split(monkeypatch, lambda ms: ms[1:], 13, 13)
+    calls = 0
+
+    def counting(d, c):
+        nonlocal calls
+        calls += 1
+        if calls > math.comb(24, 12) // 100:
+            raise AssertionError("the identity tested far more sequences than the candidates")
+        return is_draconian_subset(d, c)
+
+    monkeypatch.setattr(lost_sequences, "is_draconian_subset", counting)
+    rep = verify_cycle_identity(13, 13)
+    assert not rep.identity_holds
+    assert rep.symmetric_difference == [members[0]]
+
+
 def test_identity_lists_no_composition_when_it_holds(monkeypatch, capsys):
     def no_listing(*args):
-        raise AssertionError("the identity listed the compositions of n - 1")
+        raise AssertionError("the identity listed the lost-sequence candidates")
 
-    monkeypatch.setattr(lost_sequences, "weak_compositions", no_listing)
+    monkeypatch.setattr(lost_sequences, "_lost_candidates", no_listing)
     for family, ns in (("path-deleted", "4..9"), ("cycle-deleted", "5..9")):
         assert main(["verify", "--family", family, "--n", ns]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]

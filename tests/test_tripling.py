@@ -197,32 +197,35 @@ def recording_pool(monkeypatch):
     return RecordingPool.sizes
 
 
+def _sweep(patch, graphs):
+    """Make search_triple_recurrence sweep graphs in place of the connected graph stream."""
+    patch.setattr(tripling, "connected_graph_stream", lambda n_max: graphs)
+
+
 def test_search_pool_is_capped_by_tasks_and_cores(recording_pool, monkeypatch):
-    graphs = [complete_graph(2), complete_graph(3), Graph.from_edges(3, [(1, 2), (2, 3)])]
-    expected = search_triple_recurrence(0, source=graphs)
+    _sweep(monkeypatch, [complete_graph(2), complete_graph(3),
+                         Graph.from_edges(3, [(1, 2), (2, 3)])])
+    expected = search_triple_recurrence(0)
     cores = os.cpu_count() or 1
-    assert search_triple_recurrence(0, source=graphs, jobs=10**6) == expected
+    assert search_triple_recurrence(0, jobs=10**6) == expected
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert search_triple_recurrence(0, source=graphs, jobs=10**6) == expected
+    assert search_triple_recurrence(0, jobs=10**6) == expected
     # this machine's cores, then three tasks on 64 cores
     assert recording_pool == [w for w in (min(3, cores), 3) if w > 1]
 
 
-def test_search_starts_no_pool_for_one_worker_or_task(recording_pool):
-    assert len(search_triple_recurrence(0, source=[complete_graph(3)], jobs=10**6)) == 3
+def test_search_starts_no_pool_for_one_worker_or_task(recording_pool, monkeypatch):
+    with monkeypatch.context() as patch:
+        _sweep(patch, [complete_graph(3)])
+        assert len(search_triple_recurrence(0, jobs=10**6)) == 3
     assert len(search_triple_recurrence(4, jobs=1)) == 31
     assert recording_pool == []
 
 
-def test_search_of_empty_source_is_empty(recording_pool):
-    assert search_triple_recurrence(0, source=[], jobs=4) == []
+def test_search_of_empty_source_is_empty(recording_pool, monkeypatch):
+    _sweep(monkeypatch, [])
+    assert search_triple_recurrence(0, jobs=4) == []
     assert recording_pool == []
-
-
-def test_search_accepts_custom_source():
-    records = search_triple_recurrence(0, source=[complete_graph(3)])
-    assert len(records) == 3
-    assert all(r["triples"] for r in records)
 
 
 def test_search_counts_each_base_graph_once(monkeypatch):
@@ -233,8 +236,8 @@ def test_search_counts_each_base_graph_once(monkeypatch):
         return count_draconian(g, *args)
 
     monkeypatch.setattr(tripling, "count_draconian", counting)
-    graphs = [complete_graph(3), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])]
-    records = search_triple_recurrence(0, source=graphs)
+    _sweep(monkeypatch, [complete_graph(3), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])])
+    records = search_triple_recurrence(0)
     assert len(records) == 6
     # one base count per graph, one extended count per edge
     assert calls == [3, 4, 4, 4, 4, 5, 5, 5]
