@@ -42,8 +42,8 @@ from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_pa
 
 FAMILIES = ("complete", "matching-triangles", "path-deleted", "cycle-deleted")
 DEFAULT_COUNT_CAP = 10
-# ehrhart's column walks: K_5 takes about 0.4 s, K_6 about 4 s
-DEFAULT_DILATE_CAP = 5
+# ehrhart counts n dilates: K_7 takes about 0.5 s, K_8 about 3 s
+DEFAULT_DILATE_CAP = 7
 
 
 class UsageError(ValueError):

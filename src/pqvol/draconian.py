@@ -120,7 +120,11 @@ def is_draconian_subset(d: BipartiteDouble, c: Sequence[int]) -> bool:
 
 
 def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
-    """Flow test: for every i, c + e_i must route into distinct right vertices."""
+    """Flow test: for every i, c + e_i must route into distinct right vertices.
+
+    c itself is routed first; then one residual search (UnitRouter.open_rows)
+    finds every i for which c + e_i routes.
+    """
     _check_sequence(d, c)
     ones = (1,) * d.n
     base = UnitRouter(d.masks, ones)
@@ -130,10 +134,7 @@ def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
                 # some S already violates the non-strict Hall bound, so
                 # c + e_i fails for any i in S
                 return False
-    for i in range(d.n):
-        if not base.clone().add_unit(i):
-            return False
-    return True
+    return base.open_rows() == (1 << d.n) - 1
 
 
 def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tuple[int, ...]]:

@@ -4,8 +4,37 @@ The adjacency polytope of ordered pairs on a graph G with n vertices
 is the convex hull in R^{2n} of the 0/1 points (e_i, e_j) over pairs
 with i = j or ij an edge.  Its lattice-point counter L(t) over
 dilates t = 0, 1, 2, ... is a polynomial of degree d (the affine
-dimension), and the d-th finite difference of L(0..d) is d! times
-the leading coefficient, which is the normalized volume.
+dimension), and it is written in the h*-basis as
+
+  L(t) = sum over k of h*_k C(t + d - k, d),
+
+where the normalized volume is h*_0 + h*_1 + ... + h*_d (Beck &
+Robins, "Computing the Continuous Discretely", ch. 3-4).
+
+Only the first n dilates are counted.  For connected G on n vertices:
+
+  * P lies in {sum a = 1, sum b = 1} and has dimension d = 2n - 2.
+  * A lattice point of tP with t < n has some a_i = 0.  The bound
+    a_i >= 0 holds on P and is not an implicit equation, because the
+    vertex (e_i, e_i) has a_i = 1.  So the point lies on a proper face
+    and is not interior: tP has no interior lattice point for t < n.
+  * By Ehrhart-Macdonald reciprocity, the number of interior lattice
+    points of tP is sum over k of h*_k C(t - 1 + k, d), so the vanishing
+    for t = 1..n-1 gives h*_k = 0 for every k > d + 1 - n = n - 1.
+  * Then L(t) = sum over k <= t of h*_k C(t + d - k, d) for t <= n - 1.
+    That system is triangular with ones on the diagonal, so L(0..n-1)
+    fix h*_0..h*_{n-1} in exact integers, and nvol = sum of h*_k.
+
+The counts L(n..d) are evaluated from h*, not counted.  Two facts check
+every run for free: h*_k >= 0 (Stanley), and h*_{n-1} = 1, the number
+of interior lattice points of nP.  An interior point of nP has every
+a_i, b_j >= 1, so the only candidate is a = b = all ones, the sum of the
+diagonal vertices (e_i, e_i).  It is interior.  Take a linear functional
+u.a + v.b whose maximum M over P is reached at every (e_i, e_i), so
+u_i + v_i = M.  For an edge ij, (u_i + v_j) + (u_j + v_i) = 2M with both
+terms at most M, so M is reached at (e_i, e_j) and (e_j, e_i) too.  G is
+connected, so M is reached at every vertex: the only face that holds
+all the diagonal vertices is P itself.
 
 Membership of an integer point z = (a, b) in the t-th dilate is a
 transportation problem: z lies in t times the polytope exactly when
@@ -129,14 +158,6 @@ class EhrhartTable:
         }
 
 
-def finite_difference(values: Sequence[int], order: int) -> int:
-    """The order-th finite difference of values at 0: sum of
-    (-1)^k C(order, k) values[order - k]."""
-    if len(values) < order + 1:
-        raise ValueError(f"need {order + 1} values for an order-{order} difference")
-    return sum((-1) ** k * math.comb(order, k) * values[order - k] for k in range(order + 1))
-
-
 def _join_column(state: dict[int, int], v: int, m: int,
                  weight: list[int]) -> dict[int, int] | None:
     """Join a column of margin v and row cover m to every subset in state.
@@ -212,20 +233,41 @@ def count_dilate_points(g: Graph, t: int) -> int:
     return sum(_count_column_margins(masks, a) for a in weak_compositions(t, g.n))
 
 
+def _count_from_h_star(h: Sequence[int], d: int, t: int) -> int:
+    """L(t) = sum over k of h*_k C(t + d - k, d), for h* = h in dimension d."""
+    return sum(hk * math.comb(t + d - k, d) for k, hk in enumerate(h))
+
+
+def _h_star(counts: Sequence[int], d: int) -> list[int]:
+    """h*_0..h*_{s-1} from the first s counts L(0..s-1) of a polytope of
+    dimension d, by forward substitution: L(t) only involves h*_0..h*_t,
+    and h*_t with coefficient 1."""
+    h: list[int] = []
+    for t, count in enumerate(counts):
+        h.append(count - _count_from_h_star(h, d, t))
+    return h
+
+
 def ehrhart_nvol(g: Graph) -> EhrhartTable:
     """Normalized volume of the polytope on a connected graph, geometrically.
 
-    Counts lattice points for t = 0..d and extracts the volume as the
-    d-th finite difference.
+    Counts lattice points for t = 0..n-1 only, solves them for h*, and
+    sums h* (the module docstring has the proof).  counts still lists
+    L(0..d): the dilates t >= n are evaluated from h*.  A ValueError is
+    raised if h* breaks h*_k >= 0 or h*_{n-1} = 1, which only a wrong
+    count can do.
 
     The counting cost per dilate is C(t+n-1, n-1) column walks, one per
-    row margin, each growing quickly with n (K_5 takes about 0.4 s, K_6
-    about 4 s).  Disconnected graphs are refused: the product rule for
+    row margin, each growing quickly with n (K_7 takes about 0.5 s, K_8
+    about 3 s).  Disconnected graphs are refused: the product rule for
     counts is a statement about components, and this oracle only
     certifies the connected case.
     """
     if len(connected_components(g)) != 1:
         raise ValueError("the geometric oracle only handles connected graphs")
     d = affine_dimension(polytope_vertices(g))
-    counts = tuple(count_dilate_points(g, t) for t in range(d + 1))
-    return EhrhartTable(dimension=d, counts=counts, nvol=finite_difference(counts, d))
+    h = _h_star([count_dilate_points(g, t) for t in range(g.n)], d)
+    if h[-1] != 1 or min(h) < 0:
+        raise ValueError(f"dilate counts give h* = {h}: expected h*_k >= 0 and h*_{g.n - 1} = 1")
+    counts = tuple(_count_from_h_star(h, d, t) for t in range(d + 1))
+    return EhrhartTable(dimension=d, counts=counts, nvol=sum(h))

@@ -11,6 +11,20 @@ Two consumers:
     (all capacities 1), and
   * transportation feasibility between prescribed row and column sums
     (membership of a lattice point in a dilated polytope).
+
+Once some supply is routed, open_rows finds every row that could take
+one more unit with a single search of the residual graph, in place of
+one trial augmentation per row.  A unit from row r can land on column j
+of masks[r]; if j is full, a unit parked there by row o must move to
+another column of masks[o].  So r can take a unit exactly when the residual graph,
+with an arc from each row to the columns of its mask and from each
+full column to the rows with a unit parked on it, has a path from r to
+a column with spare capacity.  The search runs backwards from the spare
+columns: a row is open when its mask meets a column known to reach
+spare capacity, and a column reaches spare capacity when it holds a
+unit of an open row.  It stops when a pass adds no row, after at most
+one pass per row.  The current routing is maximal for its supply, so
+this is the max-flow test for supply + e_r, for every r at once.
 """
 
 from __future__ import annotations
@@ -26,13 +40,6 @@ class UnitRouter:
         self.caps = tuple(capacities)
         # units[j] lists the row of every unit currently parked on column j
         self.units: list[list[int]] = [[] for _ in self.caps]
-
-    def clone(self) -> "UnitRouter":
-        twin = UnitRouter.__new__(UnitRouter)
-        twin.masks = self.masks
-        twin.caps = self.caps
-        twin.units = [col.copy() for col in self.units]
-        return twin
 
     def add_unit(self, row: int) -> bool:
         ok, _ = self._augment(row, 0)
@@ -58,6 +65,21 @@ class UnitRouter:
                     return True, seen
             free &= ~seen
         return False, seen
+
+    def open_rows(self) -> int:
+        """Bitmask of the rows that could take one more unit (module docstring)."""
+        # residents[j]: the rows with a unit parked on column j, each bit once
+        residents = [sum(1 << r for r in set(col)) for col in self.units]
+        # reach: the columns with a residual path to spare capacity; grown: the latest found
+        reach = grown = sum(1 << j for j, (col, cap) in enumerate(zip(self.units, self.caps))
+                            if len(col) < cap)
+        rows = 0
+        while grown:
+            fresh = sum(1 << r for r, m in enumerate(self.masks) if m & grown) & ~rows
+            rows |= fresh
+            grown = sum(1 << j for j, res in enumerate(residents) if res & fresh) & ~reach
+            reach |= grown
+        return rows
 
 
 def route_units(row_masks: Sequence[int], supplies: Sequence[int],

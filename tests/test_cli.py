@@ -397,11 +397,11 @@ def test_ehrhart_command(capsys, tmp_path):
     payload = run_json(capsys, "ehrhart", "--family", "complete:2")
     assert payload["counts"] == [1, 4, 9]
     assert payload["nvol"] == "2"
-    code, _, err = run(capsys, "ehrhart", "--family", "complete:6")
+    code, _, err = run(capsys, "ehrhart", "--family", "complete:8")
     assert code == 3
     assert "--cap-n" in err
-    path = tmp_path / "p6.txt"
-    path.write_text("6\n1 2\n2 3\n3 4\n4 5\n5 6\n")
+    path = tmp_path / "p8.txt"
+    path.write_text("8\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n")
     code, out, err = run(capsys, "ehrhart", "--graph", str(path))
     assert code == 3 and out == ""
     assert "--cap-n" in err
@@ -454,7 +454,7 @@ COMPONENT_OF_11 = "13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 11)) + "12
     (["count"], COMPONENT_OF_11),
     (["count", "--family", "complete:11"], None),
     (["verify", "--family", "cycle-deleted", "--n", "5..11"], None),
-    (["ehrhart"], "6\n1 2\n2 3\n3 4\n4 5\n5 6\n"),
+    (["ehrhart"], "8\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n"),
     (["recurrence", "--edge", "1,2"], PATH_1500),
     (["recurrence", "--family", "complete:11", "--edge", "1,2"], None),
 ], ids=["count-graph", "count-family", "verify", "ehrhart", "recurrence-graph",

@@ -1,3 +1,4 @@
+import copy
 import gc
 import inspect
 import random
@@ -15,6 +16,7 @@ from pqvol.draconian import (
     is_draconian_flow,
     is_draconian_subset,
 )
+from pqvol.flows import UnitRouter
 from pqvol.graphs import (
     Graph,
     complete_graph,
@@ -176,6 +178,32 @@ def test_flow_engine_enumerates_identically():
         enumerate_draconian(doubling(complete_graph(3)), engine="magic")
     with pytest.raises(ValueError):
         count_draconian(complete_graph(3), engine="magic")
+
+
+def probe_every_row(d, c):
+    """The flow test with one trial augmentation per row, each on a copy of
+    the router that holds c."""
+    base = UnitRouter(d.masks, (1,) * d.n)
+    for i, v in enumerate(c):
+        for _ in range(v):
+            if not base.add_unit(i):
+                return False
+    return all(copy.deepcopy(base).add_unit(i) for i in range(d.n))
+
+
+def test_flow_test_agrees_with_a_probe_per_row():
+    rng = random.Random("probe")
+    sizes, verdicts = set(), set()
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        g = Graph.from_edges(n, random_graph(rng, n, rng.choice((0.3, 0.5, 0.8))))
+        d = doubling(g)
+        sizes.add(n)
+        for c in weak_compositions(n - 1, n):
+            want = probe_every_row(d, c)
+            assert is_draconian_flow(d, c) == want, (g.descriptor(), c)
+            verdicts.add(want)
+    assert sizes == set(range(1, 8)) and verdicts == {True, False}
 
 
 def test_frozen_family_counts():

@@ -1,5 +1,7 @@
 import inspect
+import math
 import random
+import re
 import textwrap
 
 import pytest
@@ -12,7 +14,6 @@ from pqvol.ehrhart import (
     affine_dimension,
     count_dilate_points,
     ehrhart_nvol,
-    finite_difference,
     is_in_dilate,
     polytope_vertices,
 )
@@ -98,6 +99,14 @@ def test_ehrhart_matches_combinatorial_count_tiny():
         assert ehrhart_nvol(g).nvol == count_draconian(g).count
 
 
+def finite_difference(values, order):
+    """The order-th finite difference of values at 0: sum of
+    (-1)^k C(order, k) values[order - k]."""
+    if len(values) < order + 1:
+        raise ValueError(f"need {order + 1} values for an order-{order} difference")
+    return sum((-1) ** k * math.comb(order, k) * values[order - k] for k in range(order + 1))
+
+
 def test_counts_are_polynomial_of_degree_d():
     for g in [complete_graph(2), complete_graph(3)]:
         table = ehrhart_nvol(g)
@@ -110,6 +119,26 @@ def test_counts_are_polynomial_of_degree_d():
 def test_finite_difference_validates():
     with pytest.raises(ValueError):
         finite_difference((1, 2), 2)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_complete_graph_h_star_is_squared_binomials(n):
+    table = ehrhart_nvol(complete_graph(n))
+    # the evaluated counts continue the polynomial, so h* past n - 1 solves to 0
+    want = [math.comb(n - 1, k) ** 2 for k in range(n)] + [0] * (n - 1)
+    assert ehrhart._h_star(table.counts, table.dimension) == want
+    assert table.nvol == math.comb(2 * n - 2, n - 1)
+
+
+@pytest.mark.parametrize("t, delta, h", [(3, 1, "[1, 9, 9, 2]"), (1, -5, "[1, 4, 44, -104]")])
+def test_a_wrong_dilate_count_is_refused(monkeypatch, t, delta, h):
+    # K_4 has h* = (1, 9, 9, 1): one point too many at t = n - 1 makes h*_3 = 2,
+    # five too few at t = 1 throw every later coefficient off
+    count = ehrhart.count_dilate_points
+    monkeypatch.setattr(ehrhart, "count_dilate_points",
+                        lambda g, s: count(g, s) + (delta if s == t else 0))
+    with pytest.raises(ValueError, match=re.escape(f"h* = {h}: expected")):
+        ehrhart_nvol(complete_graph(4))
 
 
 def test_refuses_disconnected_and_oversize():
@@ -141,6 +170,23 @@ def test_gale_walk_matches_a_flow_per_pair_of_margins():
         for t in range(2 * n - 1 if n <= 4 else 4):
             assert count_dilate_points(g, t) == flow_count(g, t), (g.descriptor(), t)
     assert sizes == {1, 2, 3, 4, 5} and connected == {True, False}
+
+
+def test_evaluated_counts_match_every_measured_dilate():
+    # ehrhart_nvol measures t < n and evaluates the rest: count them all,
+    # on three seeded connected graphs of each size
+    rng = random.Random("dilates")
+    for n in range(1, 6):
+        tested = 0
+        while tested < 3:
+            g = Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7))))
+            if len(components(n, g.edges)) != 1:
+                continue
+            tested += 1
+            table = ehrhart_nvol(g)
+            assert table.dimension == 2 * n - 2
+            want = [count_dilate_points(g, t) for t in range(2 * n - 1)]
+            assert list(table.counts) == want, g.descriptor()
 
 
 def test_slack_prune_drops_nothing_that_can_break():

@@ -79,11 +79,24 @@ def test_transportation_random_margins():
         assert transportation_feasible(masks, a, b) == brute_transportation(allowed, a, b)
 
 
-def test_router_clone_isolates_state():
-    base = UnitRouter([0b01, 0b01], [1, 1])
-    assert base.add_unit(0)
-    trial = base.clone()
-    assert not trial.add_unit(1)
-    # the failed trial must not corrupt the base
-    assert base.units[0] == [0]
-    assert trial.units[0] == [0]
+def test_open_rows_are_the_rows_one_more_unit_routes_from():
+    rng = random.Random("residual")
+    routed = opened = closed = 0
+    for _ in range(500):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        masks = [rng.randrange(1 << cols) for _ in range(rows)]
+        caps = [rng.randint(0, 3) for _ in range(cols)]
+        supply = [rng.randint(0, 2) for _ in range(rows)]
+        router = UnitRouter(masks, caps)
+        if not all(router.add_unit(r) for r in range(rows) for _ in range(supply[r])):
+            continue
+        routed += 1
+        got = router.open_rows()
+        for r in range(rows):
+            more = supply[:r] + [supply[r] + 1] + supply[r + 1:]
+            want = route_units(masks, more, caps)
+            assert bool(got >> r & 1) == want, (masks, caps, supply, r)
+            opened += want
+            closed += not want
+        assert got >> rows == 0
+    assert routed >= 100 and opened >= 100 and closed >= 100
