@@ -126,15 +126,13 @@ def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
     finds every i for which c + e_i routes.
     """
     _check_sequence(d, c)
-    ones = (1,) * d.n
-    base = UnitRouter(d.masks, ones)
-    for i, v in enumerate(c):
-        for _ in range(v):
-            if not base.add_unit(i):
-                # some S already violates the non-strict Hall bound, so
-                # c + e_i fails for any i in S
-                return False
-    return base.open_rows() == (1 << d.n) - 1
+    router = UnitRouter(d.masks, d.n)
+    try:
+        # a unit of c that fails to route means some S already breaks the
+        # non-strict Hall bound, so c + e_i fails for any i in S
+        return router.route(c) and router.open_rows() == (1 << d.n) - 1
+    except RecursionError:
+        raise EnumerationCapExceeded(f"n = {d.n}: the flow test recurses once per column") from None
 
 
 def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tuple[int, ...]]:

@@ -429,13 +429,17 @@ WHEEL_HUB_LAST = STAR_CENTRE_LAST + "".join(f"{i} {i % 1099 + 1}\n" for i in ran
     (["count", "--list", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
     (["count", "--cap-n", "2000"], WHEEL_HUB_LAST, 3),
     (["recurrence", "--edge", "1,2", "--cap-n", "2000"], "1500\n1 2\n", 0),
+    (["count", "--list", "--engine", "flow", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
+    (["count", "--engine", "flow", "--cap-n", "2000"], STAR_CENTRE_LAST, 0),
 ], ids=["recurrence-star", "count-star", "count-list-star", "count-wheel",
-        "recurrence-one-edge"])
+        "recurrence-one-edge", "count-list-flow-star", "count-flow-star"])
 def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text, want):
     # the enumerator and the counting walk recurse once per vertex of what they
     # walk while entries stay in play: every leaf of a star does, and so does
     # every rim vertex of the wheel, the isolated vertices of the one-edge graph
-    # do not; counting splits the star into 1099 K_2 blocks, each walked alone
+    # do not; counting splits the star into 1099 K_2 blocks, each walked alone.
+    # The flow test recurses once per column it moves a unit through: listing
+    # the star routes 1099 units from the hub
     path = tmp_path / "g.txt"
     path.write_text(text)
     code, out, err = run(capsys, *argv, "--graph", str(path))

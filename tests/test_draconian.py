@@ -183,7 +183,7 @@ def test_flow_engine_enumerates_identically():
 def probe_every_row(d, c):
     """The flow test with one trial augmentation per row, each on a copy of
     the router that holds c."""
-    base = UnitRouter(d.masks, (1,) * d.n)
+    base = UnitRouter(d.masks, d.n)
     for i, v in enumerate(c):
         for _ in range(v):
             if not base.add_unit(i):

@@ -1,13 +1,16 @@
 """The flow kernel against brute-force oracles.
 
-route_units and transportation_feasible sit under both the draconian
-flow engine and the geometric membership test, so they get their own
-exhaustive comparisons here.
+transportation_feasible is the geometric membership test, and
+route_units, the one caller that gives a column more than one unit,
+sits under it, so both get their own exhaustive comparisons here.
+UnitRouter, which the draconian flow engine drives directly, is pinned
+against a copy of the capacitated router it replaced.
 """
 
 import itertools
 import random
 
+import pytest
 from oracle import brute_transportation
 
 from pqvol.flows import UnitRouter, route_units, transportation_feasible
@@ -85,18 +88,102 @@ def test_open_rows_are_the_rows_one_more_unit_routes_from():
     for _ in range(500):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         masks = [rng.randrange(1 << cols) for _ in range(rows)]
-        caps = [rng.randint(0, 3) for _ in range(cols)]
         supply = [rng.randint(0, 2) for _ in range(rows)]
-        router = UnitRouter(masks, caps)
-        if not all(router.add_unit(r) for r in range(rows) for _ in range(supply[r])):
+        router = UnitRouter(masks, cols)
+        if not router.route(supply):
             continue
         routed += 1
         got = router.open_rows()
         for r in range(rows):
             more = supply[:r] + [supply[r] + 1] + supply[r + 1:]
-            want = route_units(masks, more, caps)
-            assert bool(got >> r & 1) == want, (masks, caps, supply, r)
+            want = route_units(masks, more, [1] * cols)
+            assert bool(got >> r & 1) == want, (masks, supply, r)
             opened += want
             closed += not want
         assert got >> rows == 0
     assert routed >= 100 and opened >= 100 and closed >= 100
+
+
+class CapacitatedRouter:
+    """The router UnitRouter replaced: column j holds up to capacities[j]
+    units and lists the row of each, kept here as a reference."""
+
+    def __init__(self, row_masks, capacities):
+        self.masks = tuple(row_masks)
+        self.caps = tuple(capacities)
+        self.units = [[] for _ in self.caps]
+
+    def add_unit(self, row):
+        ok, _ = self._augment(row, 0)
+        return ok
+
+    def _augment(self, row, seen):
+        free = self.masks[row] & ~seen
+        while free:
+            bit = free & -free
+            free ^= bit
+            j = bit.bit_length() - 1
+            seen |= bit
+            col = self.units[j]
+            if len(col) < self.caps[j]:
+                col.append(row)
+                return True, seen
+            for other in dict.fromkeys(col):
+                ok, seen = self._augment(other, seen)
+                if ok:
+                    col.remove(other)
+                    col.append(row)
+                    return True, seen
+            free &= ~seen
+        return False, seen
+
+    def open_rows(self):
+        residents = [sum(1 << r for r in set(col)) for col in self.units]
+        reach = grown = sum(1 << j for j, (col, cap) in enumerate(zip(self.units, self.caps))
+                            if len(col) < cap)
+        rows = 0
+        while grown:
+            fresh = sum(1 << r for r, m in enumerate(self.masks) if m & grown) & ~rows
+            rows |= fresh
+            grown = sum(1 << j for j, res in enumerate(residents) if res & fresh) & ~reach
+            reach |= grown
+        return rows
+
+
+def capacitated_route(router, supplies):
+    """The routing loop route_units ran on the capacitated router."""
+    for row, amount in enumerate(supplies):
+        if amount < 0:
+            raise ValueError(f"negative supply {amount} at row {row}")
+        for _ in range(amount):
+            if not router.add_unit(row):
+                return False
+    return True
+
+
+def test_unit_columns_match_the_capacitated_router():
+    rng = random.Random("unit columns")
+    verdicts, zero_caps, compared = set(), 0, 0
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        masks = [rng.randrange(1 << cols) for _ in range(rows)]
+        caps = [rng.randint(0, 3) for _ in range(cols)]
+        supply = [rng.randint(0, 3) for _ in range(rows)]
+        want = capacitated_route(CapacitatedRouter(masks, caps), supply)
+        assert route_units(masks, supply, caps) == want, (masks, supply, caps)
+        verdicts.add(want)
+        zero_caps += 0 in caps
+        # open_rows on unit columns, after the same supply is routed on both
+        old, new = CapacitatedRouter(masks, [1] * cols), UnitRouter(masks, cols)
+        routed = new.route(supply)
+        assert routed == capacitated_route(old, supply), (masks, supply)
+        if routed:
+            assert new.open_rows() == old.open_rows(), (masks, supply)
+            compared += 1
+    assert verdicts == {True, False} and zero_caps >= 100 and compared >= 100
+
+
+def test_negative_supply_is_refused_before_any_routing():
+    # row 0 already fails to route its second unit into the one column
+    with pytest.raises(ValueError, match="negative supply -1 at row 1"):
+        route_units([0b1, 0b1], [2, -1], [1])
