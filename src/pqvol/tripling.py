@@ -184,11 +184,18 @@ def recurrence_hypotheses(g: Graph, e: tuple[int, int]) -> bool:
 
 
 def _canonical_encoding(g: Graph) -> tuple:
-    """Smallest edge-set encoding over relabelings listing vertices by non-increasing degree."""
-    degree = {v: g.degree(v) for v in range(1, g.n + 1)}
-    descending = tuple(sorted(degree.values(), reverse=True))
-    relabelings = ({v: i for i, v in enumerate(flat, 1)} for flat in itertools.permutations(degree)
-                   if tuple(map(degree.__getitem__, flat)) == descending)
+    """Smallest edge-set encoding over relabelings listing vertices by non-increasing degree.
+
+    Those relabelings are exactly the orders that permute the vertices
+    within each degree class, classes taken from the highest degree down.
+    """
+    classes: dict[int, list[int]] = {}
+    for v in range(1, g.n + 1):
+        classes.setdefault(g.degree(v), []).append(v)
+    orders = itertools.product(*(itertools.permutations(classes[d])
+                                 for d in sorted(classes, reverse=True)))
+    relabelings = ({v: i for i, v in enumerate(itertools.chain.from_iterable(flat), 1)}
+                   for flat in orders)
     return (g.n, min(tuple(sorted((p[u], p[v]) if p[u] < p[v] else (p[v], p[u])
                                   for u, v in g.edges)) for p in relabelings))
 
@@ -225,12 +232,62 @@ def connected_graph_stream(n_max: int) -> Iterator[Graph]:
             yield found[key]
 
 
+def _automorphisms(adj: tuple[int, ...], image: list[int], used: int, out: list) -> None:
+    """Append to out every automorphism extending the partial map image.
+
+    Vertex v = len(image) (0-based) goes to an unused w of the same
+    degree whose adjacency to the images of 0..v-1 agrees with v's, so
+    each completed map preserves every adjacency and is a bijection.
+    """
+    v = len(image)
+    if v == len(adj):
+        out.append(tuple(image))
+        return
+    want = sum(1 << w for u, w in enumerate(image) if adj[v] >> u & 1)
+    degree = adj[v].bit_count()
+    for w in range(len(adj)):
+        if not used >> w & 1 and adj[w] & used == want and adj[w].bit_count() == degree:
+            image.append(w)
+            _automorphisms(adj, image, used | 1 << w, out)
+            image.pop()
+
+
+def _edge_orbits(g: Graph) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each edge of g mapped to the smallest edge of its orbit under Aut(g).
+
+    Edges are taken in sorted order; the first not yet placed is the
+    smallest of its orbit, which is its set of images under every
+    automorphism.
+    """
+    autos: list[tuple[int, ...]] = []
+    _automorphisms(g.adj, [], 0, autos)
+    orbit: dict[tuple[int, int], tuple[int, int]] = {}
+    for e in g.sorted_edges():
+        if e not in orbit:
+            for p in autos:
+                u, v = p[e[0] - 1] + 1, p[e[1] - 1] + 1
+                orbit[(u, v) if u < v else (v, u)] = e
+    return orbit
+
+
 def _search_task(g: Graph) -> list[dict]:
-    """Records for every edge of one graph, counting the base graph once."""
+    """Records for every edge of one graph, counting the base graph once
+    and one extended graph per edge orbit of Aut(g).
+
+    If an automorphism s of g sends edge e to f, then s extended by
+    apex -> apex is an isomorphism from g with a triangle on e to g with
+    a triangle on f, and relabelling does not change the draconian
+    count; so every edge takes the count of its orbit's smallest edge,
+    which sorted order reaches first.
+    """
     base = count_draconian(g).count
+    orbit = _edge_orbits(g)
+    counted: dict[tuple[int, int], int] = {}
     records = []
     for e in g.sorted_edges():
-        extended = count_draconian(triangle_extend(g, e)).count
+        if orbit[e] == e:
+            counted[e] = count_draconian(triangle_extend(g, e)).count
+        extended = counted[orbit[e]]
         hyp = recurrence_hypotheses(g, e)
         triples = extended == 3 * base
         category = ("hypotheses-hold" if hyp else "hypotheses-fail") + \

@@ -116,6 +116,17 @@ def blocks(n, edges):
     return sorted(tuple(sorted(s)) for s in good if not any(s < t for t in good))
 
 
+def automorphisms(n, edges):
+    """Every permutation of 1..n that maps the edge set onto itself, as a
+    tuple whose (v-1)-th entry is the image of v; tries all n! of them."""
+    edge_set = {frozenset(e) for e in edges}
+    # a permutation is injective on pairs, so edges into edges is onto
+    return [
+        p for p in itertools.permutations(range(1, n + 1))
+        if all(frozenset((p[u - 1], p[v - 1])) in edge_set for u, v in edges)
+    ]
+
+
 def random_graph(rng, n, p=0.5):
     """Edge list of a random graph on 1..n with edge probability p."""
     return [

@@ -1,10 +1,21 @@
+import itertools
 import os
+import random
 
 import pytest
 
+from oracle import automorphisms, random_graph
 from pqvol import tripling
 from pqvol.draconian import count_draconian, enumerate_draconian
-from pqvol.graphs import Graph, canonical_matching, complete_graph, doubling, triangle_extend_set
+from pqvol.graphs import (
+    Graph,
+    canonical_matching,
+    complete_graph,
+    connected_components,
+    doubling,
+    triangle_extend,
+    triangle_extend_set,
+)
 from pqvol.tripling import (
     connected_graph_stream,
     lift_bump,
@@ -236,8 +247,96 @@ def test_search_counts_each_base_graph_once(monkeypatch):
         return count_draconian(g, *args)
 
     monkeypatch.setattr(tripling, "count_draconian", counting)
-    _sweep(monkeypatch, [complete_graph(3), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])])
+    _sweep(monkeypatch, [complete_graph(3), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]),
+                         complete_graph(4)])
     records = search_triple_recurrence(0)
-    assert len(records) == 6
-    # one base count per graph, one extended count per edge
-    assert calls == [3, 4, 4, 4, 4, 5, 5, 5]
+    assert len(records) == 12
+    # one base count per graph, one extended count per edge orbit:
+    # K_3 and K_4 have one, P_4 has {12, 34} and {23}
+    assert calls == [3, 4, 4, 5, 5, 4, 5]
+
+
+def _per_edge_search_task(g):
+    """The sweep before edge orbits: one extended count per edge."""
+    base = count_draconian(g).count
+    records = []
+    for e in g.sorted_edges():
+        extended = count_draconian(triangle_extend(g, e)).count
+        hyp = recurrence_hypotheses(g, e)
+        triples = extended == 3 * base
+        category = ("hypotheses-hold" if hyp else "hypotheses-fail") + \
+                   (":triples" if triples else ":fails")
+        records.append({
+            "graph_encoding": g.descriptor(),
+            "edge": list(e),
+            "hypotheses_hold": hyp,
+            "triples": triples,
+            "counts": {"base": str(base), "extended": str(extended)},
+            "category": category,
+        })
+    return records
+
+
+def test_search_counts_one_extension_per_edge_orbit(monkeypatch):
+    reference = [r for g in connected_graph_stream(5) for r in _per_edge_search_task(g)]
+    calls = []
+
+    def counting(g, *args):
+        calls.append(g.n)
+        return count_draconian(g, *args)
+
+    monkeypatch.setattr(tripling, "count_draconian", counting)
+    assert search_triple_recurrence(5) == reference
+    # 30 base graphs and 69 edge orbits, where one count per edge made 30 + 161
+    assert len(calls) == 30 + 69
+
+
+def test_edge_orbits_match_brute_force_automorphisms():
+    rng = random.Random(1998)
+    graphs = list(connected_graph_stream(6)) + [Graph(n, frozenset()) for n in range(1, 5)]
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        graphs.append(Graph.from_edges(n, random_graph(rng, n, p=rng.choice((0.2, 0.5, 0.8)))))
+    disconnected = 0
+    for g in graphs:
+        autos = automorphisms(g.n, g.edges)
+        found = []
+        tripling._automorphisms(g.adj, [], 0, found)
+        assert sorted(tuple(w + 1 for w in p) for p in found) == autos
+        # each edge goes to the smallest of its images
+        assert tripling._edge_orbits(g) == {
+            (u, v): min(tuple(sorted((p[u - 1], p[v - 1]))) for p in autos) for u, v in g.edges
+        }, g.descriptor()
+        disconnected += len(connected_components(g)) > 1
+    assert disconnected >= 20
+
+
+def test_edge_orbit_counts_of_named_graphs():
+    def orbits(n, edges):
+        return len(set(tripling._edge_orbits(Graph.from_edges(n, edges)).values()))
+
+    for n in range(2, 9):
+        assert orbits(n, itertools.combinations(range(1, n + 1), 2)) == 1
+        assert orbits(n, [(v, v + 1) for v in range(1, n)]) == n // 2  # ceil((n - 1) / 2)
+        assert orbits(n, [(1, v) for v in range(2, n + 1)]) == 1
+        if n >= 3:
+            assert orbits(n, [(v, v + 1) for v in range(1, n)] + [(1, n)]) == 1
+    assert orbits(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]) == 2
+
+
+def test_canonical_encoding_matches_filtered_permutations():
+    def filtered(g):
+        # every vertex order, kept when its degrees do not increase
+        degree = {v: g.degree(v) for v in range(1, g.n + 1)}
+        descending = sorted(degree.values(), reverse=True)
+        relabelings = ({v: i for i, v in enumerate(flat, 1)}
+                       for flat in itertools.permutations(degree)
+                       if [degree[v] for v in flat] == descending)
+        return (g.n, min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
+                         for p in relabelings))
+
+    rng = random.Random(4093)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        g = Graph.from_edges(n, random_graph(rng, n, p=rng.choice((0.2, 0.5, 0.8))))
+        assert tripling._canonical_encoding(g) == filtered(g)
