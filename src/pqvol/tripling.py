@@ -203,33 +203,29 @@ def _canonical_encoding(g: Graph) -> tuple:
 def connected_graph_stream(n_max: int) -> Iterator[Graph]:
     """All connected graphs with 2..n_max vertices, one per isomorphism class, in canonical order.
 
-    Edge-subset bitmasks are tried in increasing order, skipping those a
-    2^C(n,2)-byte bitmap marks seen; an unseen mask is the smallest of a
-    new class, so all its relabelings are marked and, if connected, it
-    is canonicalized once.  The bitmap is 2 MB at n = 7 and 256 MB at
-    n = 8 (cap 8), where the 2^28-mask sweep is out of practical reach.
+    Each class yields its least edge-subset mask, bit k being the k-th
+    pair of combinations(1..n, 2).  Vertex 1's pairs are the low n - 1
+    bits, so mask >> (n - 1) is the graph on 2..n; were it not a least
+    mask, relabeling 2..n would shrink the whole.  So each n tries every
+    low row under every (n - 1)-vertex class's least mask, connected or
+    not, in increasing order, and keeps the first candidate per class.
+    Capped at 8: n = 9 would canonicalize 12 346 * 256, about 3.2 M.
     """
     if n_max > 8:
         raise ValueError(f"graph stream capped at 8 vertices, got {n_max}")
+    level = [0]
     for n in range(2, n_max + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        bit = {p: 1 << k for k, p in enumerate(pairs)}
-        # images[j][k]: bit of pair k once relabeled by the j-th permutation
-        images = [tuple(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs)
-                  for p in itertools.permutations(range(n))]
-        seen = bytearray(1 << len(pairs))
-        found: dict[tuple, Graph] = {}
-        for mask in range(len(seen)):
-            if seen[mask]:
-                continue
-            ks = [k for k in range(len(pairs)) if mask >> k & 1]
-            for image in images:
-                seen[sum(map(image.__getitem__, ks))] = 1
-            g = Graph(n, frozenset((pairs[k][0] + 1, pairs[k][1] + 1) for k in ks))
-            if len(connected_components(g)) == 1:
-                found[_canonical_encoding(g)] = g
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        found: dict[tuple, tuple[int, Graph]] = {}
+        for high in level:
+            for mask in range(high << (n - 1), (high + 1) << (n - 1)):
+                g = Graph(n, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
+                found.setdefault(_canonical_encoding(g), (mask, g))
+        level = sorted(mask for mask, _ in found.values())
         for key in sorted(found):
-            yield found[key]
+            g = found[key][1]
+            if len(connected_components(g)) == 1:
+                yield g
 
 
 def _automorphisms(adj: tuple[int, ...], image: list[int], used: int, out: list) -> None:

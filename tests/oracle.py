@@ -127,6 +127,17 @@ def automorphisms(n, edges):
     ]
 
 
+def least_mask(n, edges):
+    """The smallest edge-subset mask over all n! relabelings, bit k being
+    the k-th pair of combinations(1..n, 2)."""
+    bit = {frozenset(p): 1 << k
+           for k, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    return min(
+        sum(bit[frozenset((p[u - 1], p[v - 1]))] for u, v in edges)
+        for p in itertools.permutations(range(1, n + 1))
+    )
+
+
 def random_graph(rng, n, p=0.5):
     """Edge list of a random graph on 1..n with edge probability p."""
     return [

@@ -8,7 +8,9 @@ the next two before the subset state kept one entry per neighborhood
 union, the next one before the graph stream marked every relabeling
 of a class seen, the next two before dilates were counted by Gale's
 condition instead of one flow per pair of margins, and the last two
-before the dilate counter lost its process pool.  A refactor
+before the dilate counter lost its process pool.  The two search
+digests also guard the stream's growth of each n from the least masks
+on n - 1 vertices, which replaced that seen bitmap.  A refactor
 that changes any byte of these outputs, or an exit code, fails here.
 """
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracle import automorphisms, random_graph
+from oracle import automorphisms, least_mask, random_graph
 from pqvol import tripling
 from pqvol.draconian import count_draconian, enumerate_draconian
 from pqvol.graphs import (
@@ -139,14 +139,21 @@ def test_hypotheses():
 def test_graph_stream_counts_isomorphism_classes():
     # connected graphs up to isomorphism (OEIS A001349)
     sizes = {}
-    for g in connected_graph_stream(6):
+    for g in connected_graph_stream(7):
         sizes[g.n] = sizes.get(g.n, 0) + 1
-    assert sizes == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    assert sizes == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     with pytest.raises(ValueError):
         list(connected_graph_stream(9))
 
 
-def test_graph_stream_canonicalizes_each_class_once(monkeypatch):
+def test_graph_stream_yields_least_masks():
+    # bit k of a mask is the k-th pair of combinations(1..n, 2)
+    for g in connected_graph_stream(6):
+        bit = {p: 1 << k for k, p in enumerate(itertools.combinations(range(1, g.n + 1), 2))}
+        assert sum(bit[e] for e in g.edges) == least_mask(g.n, g.edges), g.descriptor()
+
+
+def test_graph_stream_canonicalizes_each_candidate_once(monkeypatch):
     calls = []
     canonical = tripling._canonical_encoding
 
@@ -156,9 +163,11 @@ def test_graph_stream_canonicalizes_each_class_once(monkeypatch):
 
     monkeypatch.setattr(tripling, "_canonical_encoding", counting)
     graphs = list(connected_graph_stream(5))
-    # 1 + 2 + 6 + 21 connected classes, not one call per connected labelled graph
-    assert len(calls) == len(graphs) == 30
-    assert sorted(calls, key=canonical) == graphs
+    # every low row under each class on n - 1 vertices (OEIS A000088: 1, 2, 4, 11)
+    assert len(calls) == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 == 218
+    assert len(graphs) == 1 + 2 + 6 + 21
+    keys = [canonical(g) for g in graphs]
+    assert keys == sorted(set(keys))
 
 
 def test_search_classes_small():
