@@ -11,7 +11,6 @@ lattice-point oracle.
 
 from .combinat import SequenceSet, weak_compositions
 from .draconian import (
-    EnumerationCapExceeded,
     VolumeReport,
     count_draconian,
     enumerate_draconian,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteDouble",
     "EhrhartTable",
-    "EnumerationCapExceeded",
     "Graph",
     "GraphFormatError",
     "IdentityReport",

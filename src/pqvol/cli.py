@@ -9,10 +9,10 @@ small-graph sweep (search).
 Output is JSON by default (sorted keys, so identical inputs give
 byte-identical bytes); --table renders the same data for reading.
 Exit codes: 0 success, 1 a must-hold identity failed, 2 bad input or
-out-of-range parameters, 3 an enumeration cap was exceeded, 141 the
-reader closed stdout early (as `| head` does; 128 + SIGPIPE).  Rows that
-merely document a formula discrepancy do not fail a run; that
-documentation is the point of the verify command.
+out-of-range parameters, 3 a --cap-n or the recursion depth was
+exceeded, 141 the reader closed stdout early (as `| head` does;
+128 + SIGPIPE).  Rows that merely document a formula discrepancy do
+not fail a run; that documentation is the point of the verify command.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import formulas, lost_sequences
-from .draconian import ENGINES, EnumerationCapExceeded, count_draconian, enumerate_draconian
+from .draconian import ENGINES, count_draconian, enumerate_draconian
 from .ehrhart import ehrhart_nvol
 from .graphs import (
     MAX_VERTICES,
@@ -44,18 +44,26 @@ FAMILIES = ("complete", "matching-triangles", "path-deleted", "cycle-deleted")
 DEFAULT_COUNT_CAP = 10
 # ehrhart counts n dilates: K_7 takes about 0.5 s, K_8 about 3 s
 DEFAULT_DILATE_CAP = 7
+# a hard bound, like MAX_VERTICES: n = 9 would canonicalize 12 346 * 256,
+# about 3.2 M, candidate graphs before the first search task
+SEARCH_MAX_N = 8
 
 
 class UsageError(ValueError):
     """Bad family spec, range, or precondition; maps to exit code 2."""
 
 
+class EnumerationCapExceeded(RuntimeError):
+    """An input is over its command's --cap-n; maps to exit code 3."""
+
+
 def check_cap(what: str, size: int, cap: int):
     """Refuse an input whose vertex count is over cap (exit 3).
 
-    Every size bound in the package is checked here, by the command,
-    before any work starts, so each refusal reads the same: the
-    quantity, its size, the cap and the option.
+    Every --cap-n is checked here, by the command, before any work
+    starts, so each refusal reads the same: the quantity, its size, the
+    cap and the option.  Hard bounds (MAX_VERTICES, SEARCH_MAX_N) have
+    no option to raise them and exit 2.
     """
     if size > cap:
         raise EnumerationCapExceeded(
@@ -121,7 +129,7 @@ def family_formula_values(name: str, params: tuple[int, ...]) -> dict:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for --jobs: an integer of at least 1."""
+    """argparse type for --jobs and --cap-n: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -147,15 +155,15 @@ def parse_range(text: str, lo_default: int, hi_default: int) -> range:
 
 def load_input_graph(args) -> Graph:
     """The graph named by --graph or --family, a family bounded by parse_family."""
-    if getattr(args, "graph", None):
+    if args.graph:
         return load_graph(args.graph)
-    if getattr(args, "family", None):
-        return family_graph(*parse_family(args.family, getattr(args, "cap_n", None)))
+    if args.family:
+        return family_graph(*parse_family(args.family, args.cap_n))
     raise UsageError("give a graph with --graph FILE or --family SPEC")
 
 
 def emit(args, payload: dict, table_lines) -> None:
-    if getattr(args, "table", False):
+    if args.table:
         for line in table_lines:
             print(line)
     else:
@@ -359,6 +367,8 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.n_max > SEARCH_MAX_N:
+        raise UsageError(f"search is capped at {SEARCH_MAX_N} vertices, got --n-max {args.n_max}")
     records = search_triple_recurrence(args.n_max, jobs=args.jobs)
     forbidden = [r for r in records if r["hypotheses_hold"] and not r["triples"]]
     if args.table:
@@ -394,12 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_render(p):
         p.add_argument("--table", action="store_true", help="human-readable output, not JSON")
 
+    def add_cap(p, default, help):
+        p.add_argument("--cap-n", type=positive_int, default=default, metavar="N",
+                       help=f"{help} (default {default})")
+
     p = sub.add_parser("count", help="count draconian sequences / normalized volume")
     add_graph_source(p)
     p.add_argument("--engine", choices=ENGINES, default="subset")
     p.add_argument("--list", action="store_true", help="print the sequences, one per line")
-    p.add_argument("--cap-n", type=int, default=DEFAULT_COUNT_CAP, metavar="N",
-                   help=f"refuse components larger than N (default {DEFAULT_COUNT_CAP})")
+    add_cap(p, DEFAULT_COUNT_CAP, "refuse components larger than N")
     p.add_argument("--timing", action="store_true",
                    help="include elapsed_ms (off by default so outputs are reproducible)")
     add_render(p)
@@ -414,23 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", required=True, help="value or range a..b")
     p.add_argument("--m", default="..", help="value or range a..b (default: all valid)")
-    p.add_argument("--cap-n", type=int, default=DEFAULT_COUNT_CAP, metavar="N",
-                   help=f"enumeration cap (default {DEFAULT_COUNT_CAP})")
+    add_cap(p, DEFAULT_COUNT_CAP, "enumeration cap")
     add_render(p)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("ehrhart", help="geometric volume via lattice-point counting")
     add_graph_source(p)
-    p.add_argument("--cap-n", type=int, default=DEFAULT_DILATE_CAP, metavar="N",
-                   help=f"dilate-counting cap (default {DEFAULT_DILATE_CAP})")
+    add_cap(p, DEFAULT_DILATE_CAP, "dilate-counting cap")
     add_render(p)
     p.set_defaults(run=cmd_ehrhart)
 
     p = sub.add_parser("recurrence", help="measure one triangle extension")
     add_graph_source(p)
     p.add_argument("--edge", required=True, metavar="U,V")
-    p.add_argument("--cap-n", type=int, default=DEFAULT_COUNT_CAP, metavar="N",
-                   help=f"refuse graphs larger than N (default {DEFAULT_COUNT_CAP})")
+    add_cap(p, DEFAULT_COUNT_CAP, "refuse graphs larger than N")
     add_render(p)
     p.set_defaults(run=cmd_recurrence)
 
@@ -457,6 +467,10 @@ def main(argv=None) -> int:
         return 141
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: the input is deeper than Python's recursion limit: each walk "
+              "recurses once per vertex or column in play", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

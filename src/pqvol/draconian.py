@@ -61,10 +61,6 @@ from .graphs import BipartiteDouble, Graph, biconnected_blocks, connected_compon
 ENGINES = ("subset", "flow")
 
 
-class EnumerationCapExceeded(RuntimeError):
-    """An instance is larger than the configured enumeration cap allows."""
-
-
 def _check_sequence(d: BipartiteDouble, c: Sequence[int]):
     if len(c) != d.n:
         raise ValueError(f"sequence length {len(c)} does not match n = {d.n}")
@@ -127,12 +123,9 @@ def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
     """
     _check_sequence(d, c)
     router = UnitRouter(d.masks, d.n)
-    try:
-        # a unit of c that fails to route means some S already breaks the
-        # non-strict Hall bound, so c + e_i fails for any i in S
-        return router.route(c) and router.open_rows() == (1 << d.n) - 1
-    except RecursionError:
-        raise EnumerationCapExceeded(f"n = {d.n}: the flow test recurses once per column") from None
+    # a unit of c that fails to route means some S already breaks the
+    # non-strict Hall bound, so c + e_i fails for any i in S
+    return router.route(c) and router.open_rows() == (1 << d.n) - 1
 
 
 def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tuple[int, ...]]:
@@ -171,10 +164,7 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
             place(k + 1, remaining - v, grown)
         c[k] = 0
 
-    try:
-        place(0, n - 1, {0: 0})
-    except RecursionError:
-        raise EnumerationCapExceeded(f"n = {n}: the enumerator recurses once per vertex") from None
+    place(0, n - 1, {0: 0})
     # place's closure refers to itself: break the cycle so out is freed without a GC pass
     del place
     return out
@@ -213,10 +203,7 @@ def _count_walk(d: BipartiteDouble) -> int:
         memo[key] = count
         return count
 
-    try:
-        count = walk(0, n - 1, {0: 0})
-    except RecursionError:
-        raise EnumerationCapExceeded(f"n = {n}: the counter recurses once per vertex") from None
+    count = walk(0, n - 1, {0: 0})
     # walk's closure refers to itself: break the cycle so memo is freed without a GC pass
     del walk
     return count

@@ -209,10 +209,7 @@ def connected_graph_stream(n_max: int) -> Iterator[Graph]:
     mask, relabeling 2..n would shrink the whole.  So each n tries every
     low row under every (n - 1)-vertex class's least mask, connected or
     not, in increasing order, and keeps the first candidate per class.
-    Capped at 8: n = 9 would canonicalize 12 346 * 256, about 3.2 M.
     """
-    if n_max > 8:
-        raise ValueError(f"graph stream capped at 8 vertices, got {n_max}")
     level = [0]
     for n in range(2, n_max + 1):
         pairs = list(itertools.combinations(range(1, n + 1), 2))

@@ -21,7 +21,7 @@ import pqvol
 from pqvol import cli, draconian, ehrhart, lost_sequences, tripling
 from pqvol.cli import main
 from pqvol.draconian import count_draconian, enumerate_draconian
-from pqvol.graphs import MAX_VERTICES
+from pqvol.graphs import MAX_VERTICES, doubling, parse_graph
 
 SCHEMA = json.loads((files("pqvol") / "schemas" / "report.schema.json").read_text())
 # for a fresh interpreter: import the package from where this one found it
@@ -145,6 +145,18 @@ def test_jobs_below_one_refused(capsys, command, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["count", "--family", "complete:3"],
+                                     ["verify", "--family", "cycle-deleted", "--n", "5"],
+                                     ["ehrhart", "--family", "complete:2"],
+                                     ["recurrence", "--family", "complete:3", "--edge", "1,2"]])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_refused(capsys, command, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--cap-n", cap])
+    assert exc.value.code == 2
+    assert "--cap-n" in capsys.readouterr().err
+
+
 def test_ehrhart_has_no_jobs_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ehrhart", "--family", "complete:3", "--jobs", "2"])
@@ -169,6 +181,14 @@ def test_library_takes_no_size_cap():
     for entry in (lost_sequences.verify_path_identity, lost_sequences.verify_cycle_identity,
                   ehrhart.ehrhart_nvol):
         assert "cap_n" not in inspect.signature(entry).parameters, entry.__name__
+    # nor a depth refusal: a graph too deep to walk raises Python's own
+    # RecursionError, which only cli.main turns into exit 3
+    assert not hasattr(pqvol, "EnumerationCapExceeded")
+    wheel = parse_graph(WHEEL_HUB_LAST)
+    with pytest.raises(RecursionError):
+        count_draconian(wheel)
+    with pytest.raises(RecursionError):
+        enumerate_draconian(doubling(wheel))
 
 
 def test_import_loads_no_process_pool():
@@ -483,15 +503,21 @@ def test_every_cap_refusal_comes_before_any_work(monkeypatch, capsys, tmp_path, 
                         r"raise --cap-n to force this\n", err), err
 
 
-def test_search_json_lines(capsys):
+def test_search_json_lines(monkeypatch, capsys):
     code, out, err = run(capsys, "search", "--n-max", "3")
     assert code == 0, err
     lines = out.splitlines()
     assert len(lines) == 6
     for line in lines:
         jsonschema.validate(json.loads(line), SCHEMA)
-    code, _, err = run(capsys, "search", "--n-max", "9")
-    assert code == 2
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started before --n-max was checked")
+
+    # the bound is the command's: it refuses before the library sees --n-max
+    monkeypatch.setattr(cli, "search_triple_recurrence", no_work)
+    code, out, err = run(capsys, "search", "--n-max", "9")
+    assert code == 2 and out == ""
     assert "capped at 8" in err
 
 
