@@ -9,15 +9,16 @@ images partition the sequences of the extended graph.
 
 The script builds K_4, then glues triangles onto the edges {1,2} and
 {3,4} of a perfect matching, verifying the partition at each step and
-the resulting counts 20, 60, 180.
+the resulting counts 20, 60, 180.  The graph after m triangles is
+matching_triangles(4, m), the builder behind the CLI's
+matching-triangles:4,m family.
 """
 
 from pqvol import (
-    canonical_matching,
     complete_graph,
     count_draconian,
+    matching_triangles,
     nvol_matching_triangles,
-    triangle_extend_set,
     verify_partition,
 )
 
@@ -31,7 +32,7 @@ def main():
     for m in (1, 2):
         edge = (2 * m - 1, 2 * m)
         step = verify_partition(g, edge, matching_mode=True)
-        g = triangle_extend_set(base, canonical_matching(4, m).edges)
+        g = matching_triangles(4, m)
         count = count_draconian(g).count
         formula = nvol_matching_triangles(4, m)
         print(f"glue triangle onto edge {edge}:")

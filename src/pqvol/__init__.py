@@ -29,8 +29,6 @@ from .graphs import (
     BipartiteDouble,
     Graph,
     GraphFormatError,
-    Matching,
-    canonical_matching,
     complete_graph,
     connected_components,
     cycle_vertices,
@@ -38,10 +36,10 @@ from .graphs import (
     delete_path,
     doubling,
     load_graph,
+    matching_triangles,
     parse_graph,
     relabel,
     triangle_extend,
-    triangle_extend_set,
 )
 from .lost_sequences import (
     IdentityReport,
@@ -71,13 +69,11 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "IdentityReport",
-    "Matching",
     "PartitionReport",
     "PathDeletionReadings",
     "SequenceSet",
     "VolumeReport",
     "affine_dimension",
-    "canonical_matching",
     "complete_graph",
     "connected_components",
     "count_draconian",
@@ -97,6 +93,7 @@ __all__ = [
     "lift_one",
     "lift_resolve",
     "load_graph",
+    "matching_triangles",
     "nvol_complete",
     "nvol_cycle_deleted",
     "nvol_matching_triangles",
@@ -109,7 +106,6 @@ __all__ = [
     "relabel",
     "search_triple_recurrence",
     "triangle_extend",
-    "triangle_extend_set",
     "verify_cycle_identity",
     "verify_partition",
     "verify_path_identity",

@@ -29,18 +29,18 @@ from .ehrhart import ehrhart_nvol
 from .graphs import (
     MAX_VERTICES,
     Graph,
-    canonical_matching,
     complete_graph,
     connected_components,
     delete_cycle,
     delete_path,
     doubling,
     load_graph,
-    triangle_extend_set,
+    matching_triangles,
 )
 from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_partition
 
-FAMILIES = ("complete", "matching-triangles", "path-deleted", "cycle-deleted")
+FAMILIES = {"complete": complete_graph, "matching-triangles": matching_triangles,
+            "path-deleted": delete_path, "cycle-deleted": delete_cycle}
 DEFAULT_COUNT_CAP = 10
 # ehrhart counts n dilates: K_7 takes about 0.5 s, K_8 about 3 s
 DEFAULT_DILATE_CAP = 7
@@ -86,7 +86,7 @@ def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...
     """
     name, _, tail = spec.partition(":")
     if name not in FAMILIES:
-        raise UsageError(f"unknown family {name!r}, expected one of {FAMILIES}")
+        raise UsageError(f"unknown family {name!r}, expected one of {tuple(FAMILIES)}")
     if not tail:
         raise UsageError(f"family {name} needs parameters, e.g. {name}:5" +
                          (",2" if name != "complete" else ""))
@@ -106,26 +106,17 @@ def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...
 
 
 def family_graph(name: str, params: tuple[int, ...]) -> Graph:
-    if name == "complete":
-        return complete_graph(params[0])
-    if name == "matching-triangles":
-        n, m = params
-        base = complete_graph(n)
-        return triangle_extend_set(base, canonical_matching(n, m).edges)
-    if name == "path-deleted":
-        return delete_path(*params)
-    return delete_cycle(*params)
+    return FAMILIES[name](*params)
 
 
 def family_formula_values(name: str, params: tuple[int, ...]) -> dict:
-    if name == "complete":
-        return {"value": str(formulas.nvol_complete(params[0]))}
-    if name == "matching-triangles":
-        return {"value": str(formulas.nvol_matching_triangles(*params))}
     if name == "path-deleted":
         readings = formulas.nvol_path_deleted(*params)
         return {"as_printed": str(readings.as_printed), "grouped": str(readings.grouped)}
-    return {"value": str(formulas.nvol_cycle_deleted(*params))}
+    value = {"complete": formulas.nvol_complete,
+             "matching-triangles": formulas.nvol_matching_triangles,
+             "cycle-deleted": formulas.nvol_cycle_deleted}[name](*params)
+    return {"value": str(value)}
 
 
 def positive_int(text: str) -> int:
@@ -211,7 +202,7 @@ def _matching_row(n: int, m: int) -> dict:
         enum, partition_holds = count_draconian(complete_graph(n)).count, None
     else:
         # the step's extended graph is matching-triangles (n, m) itself
-        prev = family_graph("matching-triangles", (n, m - 1))
+        prev = matching_triangles(n, m - 1)
         step = verify_partition(prev, (2 * m - 1, 2 * m), matching_mode=True)
         enum, partition_holds = step.extended_count, step.partition_holds
     return {
@@ -369,6 +360,8 @@ def cmd_recurrence(args) -> int:
 def cmd_search(args) -> int:
     if args.n_max > SEARCH_MAX_N:
         raise UsageError(f"search is capped at {SEARCH_MAX_N} vertices, got --n-max {args.n_max}")
+    if args.n_max < 2:
+        raise UsageError(f"search needs --n-max of at least 2, got {args.n_max}")
     records = search_triple_recurrence(args.n_max, jobs=args.jobs)
     forbidden = [r for r in records if r["hypotheses_hold"] and not r["triples"]]
     if args.table:

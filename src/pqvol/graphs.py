@@ -6,6 +6,9 @@ every construction returns a new Graph.  Adjacency is read from one
 place, the bitmasks adj: bit w-1 of adj[v-1] is set exactly when vw is
 an edge.
 
+Each of the paper's four families has one builder, called with its
+parameters: complete_graph, matching_triangles, delete_path, delete_cycle.
+
 The doubling D(G) of a graph G on [n] is the bipartite graph on
 [n] + [n-bar] in which i on the left is joined to i-bar and to j-bar
 for every edge ij of G.  Left neighborhoods in D(G) drive all the
@@ -98,28 +101,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges of a host graph."""
-
-    edges: frozenset[tuple[int, int]]
-
-    @classmethod
-    def of(cls, host: Graph, edges: Iterable[tuple[int, int]]) -> "Matching":
-        chosen = frozenset(_as_edge(u, v) for u, v in edges)
-        seen: set[int] = set()
-        for u, v in sorted(chosen):
-            if (u, v) not in host.edges:
-                raise ValueError(f"edge ({u}, {v}) is not in the host graph")
-            if u in seen or v in seen:
-                raise ValueError(f"edge ({u}, {v}) shares a vertex with another chosen edge")
-            seen.update((u, v))
-        return cls(chosen)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
 class BipartiteDouble:
     """Left neighborhoods of the doubling D(G), as bitmasks over right labels."""
 
@@ -147,25 +128,14 @@ def triangle_extend(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(w, g.edges | {(u, w), (v, w)})
 
 
-def triangle_extend_set(g: Graph, f: Iterable[tuple[int, int]]) -> Graph:
-    """Attach one new vertex per edge of f, in ascending edge order.
-
-    The k-th edge of sorted(f) receives new vertex n+k, so the result
-    does not depend on the iteration order of f.
-    """
-    out = g
-    for e in sorted(_as_edge(u, v) for u, v in f):
-        if e not in g.edges:
-            raise ValueError(f"{e} is not an edge of the base graph")
-        out = triangle_extend(out, e)
-    return out
-
-
-def canonical_matching(n: int, m: int) -> Matching:
-    """The matching {1,2}, {3,4}, ..., {2m-1, 2m} inside the complete graph."""
+def matching_triangles(n: int, m: int) -> Graph:
+    """K_n with apex n+k glued onto the edge {2k-1, 2k} for k = 1..m."""
+    g = complete_graph(n)
     if m < 0 or 2 * m > n:
         raise ValueError(f"a matching of size {m} does not fit in {n} vertices")
-    return Matching.of(complete_graph(n), [(2 * k - 1, 2 * k) for k in range(1, m + 1)])
+    for k in range(1, m + 1):
+        g = triangle_extend(g, (2 * k - 1, 2 * k))
+    return g
 
 
 def delete_path(n: int, m: int) -> Graph:

@@ -16,6 +16,12 @@ count triples.  That partition is a theorem under a degree hypothesis
 on e, and holds experimentally well beyond it; verify_partition
 measures it on one (graph, edge) and search_triple_recurrence sweeps
 all small connected graphs looking for the boundary.
+
+Tripling is local to the block B of G that holds e.  The apex meets
+only u and v, both in B, so G with a triangle on e has G's blocks with
+B replaced by B with a triangle on e.  Counts multiply over blocks (the
+draconian docstring), so (G, e) and (B, e) have one extended-to-base
+ratio, and (G, e) triples exactly when (B, e) does.
 """
 
 from __future__ import annotations

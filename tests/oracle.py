@@ -116,6 +116,29 @@ def blocks(n, edges):
     return sorted(tuple(sorted(s)) for s in good if not any(s < t for t in good))
 
 
+def block_edges(n, edges, e):
+    """The edges of the block holding edge e, from the cycle definition:
+    two edges share a block iff some cycle holds both.  A cycle through
+    e = ab is e plus a simple a-b path of two or more edges, so the block
+    is e together with every edge of every such path; a bridge is alone."""
+    a, b = e
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    out = {frozenset(e)}
+
+    def walk(path):
+        for w in nbrs[path[-1]] - set(path):
+            if w == b and len(path) > 1:
+                out.update(frozenset(p) for p in zip(path, path[1:] + [b]))
+            elif w != b:
+                walk(path + [w])
+
+    walk([a])
+    return out
+
+
 def automorphisms(n, edges):
     """Every permutation of 1..n that maps the edge set onto itself, as a
     tuple whose (v-1)-th entry is the image of v; tries all n! of them."""

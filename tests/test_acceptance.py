@@ -20,13 +20,12 @@ from pqvol.ehrhart import ehrhart_nvol
 from pqvol.formulas import nvol_complete, nvol_cycle_deleted, nvol_matching_triangles, nvol_path_deleted
 from pqvol.graphs import (
     Graph,
-    canonical_matching,
     complete_graph,
     delete_cycle,
     delete_path,
     doubling,
+    matching_triangles,
     relabel,
-    triangle_extend_set,
 )
 from pqvol.lost_sequences import verify_cycle_identity, verify_path_identity
 from pqvol.tripling import connected_graph_stream, search_triple_recurrence, verify_partition
@@ -46,12 +45,12 @@ def test_criterion_1_complete_graphs():
 
 def test_criterion_2_matching_triangles():
     for m in (0, 1, 2):
-        g = triangle_extend_set(complete_graph(4), canonical_matching(4, m).edges)
+        g = matching_triangles(4, m)
         got = count_draconian(g).count
         want = nvol_matching_triangles(4, m)
         assert got == want == 20 * 3**m, (m, got, want)
     for m in (1, 2):
-        base = triangle_extend_set(complete_graph(4), canonical_matching(4, m - 1).edges)
+        base = matching_triangles(4, m - 1)
         step = verify_partition(base, (2 * m - 1, 2 * m), matching_mode=True)
         assert step.partition_holds and step.triples, (m, step.to_dict())
     report(2, "matching-triangle counts are 20/60/180 and the lift partition "

@@ -514,11 +514,16 @@ def test_search_json_lines(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep started before --n-max was checked")
 
-    # the bound is the command's: it refuses before the library sees --n-max
+    # the bounds are the command's: it refuses before the library sees --n-max
     monkeypatch.setattr(cli, "search_triple_recurrence", no_work)
     code, out, err = run(capsys, "search", "--n-max", "9")
     assert code == 2 and out == ""
     assert "capped at 8" in err
+    # no connected graph below 2 vertices has an edge to extend
+    for n_max in ("1", "0", "-3"):
+        code, out, err = run(capsys, "search", "--n-max", n_max)
+        assert code == 2 and out == "", n_max
+        assert f"at least 2, got {n_max}" in err
 
 
 def test_search_deterministic_across_jobs(capsys):

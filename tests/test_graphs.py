@@ -8,19 +8,17 @@ from pqvol.graphs import (
     MAX_VERTICES,
     Graph,
     GraphFormatError,
-    Matching,
     biconnected_blocks,
-    canonical_matching,
     complete_graph,
     connected_components,
     cycle_vertices,
     delete_cycle,
     delete_path,
     doubling,
+    matching_triangles,
     parse_graph,
     relabel,
     triangle_extend,
-    triangle_extend_set,
 )
 
 
@@ -83,21 +81,20 @@ def test_triangle_extend():
     assert g.n == 3 and g.edges == complete_graph(3).edges
     with pytest.raises(ValueError):
         triangle_extend(complete_graph(3), (1, 4))
-    two = triangle_extend_set(complete_graph(4), [(3, 4), (1, 2)])
-    # ascending edge order: (1,2) gets vertex 5, (3,4) gets vertex 6
-    assert two.n == 6
-    assert {(1, 5), (2, 5), (3, 6), (4, 6)} <= two.edges
 
 
-def test_matching_validation():
-    host = complete_graph(4)
-    m = Matching.of(host, [(1, 2), (3, 4)])
-    assert len(m) == 2
-    with pytest.raises(ValueError):
-        Matching.of(host, [(1, 2), (2, 3)])
-    assert canonical_matching(6, 3).edges == frozenset({(1, 2), (3, 4), (5, 6)})
-    with pytest.raises(ValueError):
-        canonical_matching(5, 3)
+def test_matching_triangles():
+    # edge {2k-1, 2k} gets apex n+k: (1,2) gets vertex 7, (3,4) 8, (5,6) 9
+    g = matching_triangles(6, 3)
+    assert g.n == 9
+    assert g.edges - complete_graph(6).edges == {
+        (1, 7), (2, 7), (3, 8), (4, 8), (5, 9), (6, 9)}
+    one = triangle_extend(complete_graph(4), (1, 2))
+    assert matching_triangles(4, 2) == triangle_extend(one, (3, 4))
+    assert matching_triangles(5, 0) == complete_graph(5)
+    for n, m in ((5, 3), (4, -1)):
+        with pytest.raises(ValueError, match=f"size {m} does not fit in {n} vertices"):
+            matching_triangles(n, m)
 
 
 def test_doubling_masks():

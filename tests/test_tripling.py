@@ -1,20 +1,21 @@
+import collections
 import itertools
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracle import automorphisms, least_mask, random_graph
+from oracle import automorphisms, block_edges, least_mask, random_graph
 from pqvol import tripling
 from pqvol.draconian import count_draconian, enumerate_draconian
 from pqvol.graphs import (
     Graph,
-    canonical_matching,
     complete_graph,
     connected_components,
     doubling,
+    matching_triangles,
     triangle_extend,
-    triangle_extend_set,
 )
 from pqvol.tripling import (
     connected_graph_stream,
@@ -85,7 +86,7 @@ def test_partition_at_matching_induction_steps():
     assert first.partition_holds and first.triples
     assert (first.base_count, first.extended_count) == (20, 60)
 
-    bigger = triangle_extend_set(complete_graph(4), canonical_matching(4, 1).edges)
+    bigger = matching_triangles(4, 1)
     second = verify_partition(bigger, (3, 4), matching_mode=True)
     assert second.partition_holds and second.triples
     assert (second.base_count, second.extended_count) == (60, 180)
@@ -115,11 +116,11 @@ def test_strip_last_unit_recovers_base():
     # first lift's image
     cases = [
         (complete_graph(4), (1, 2)),
-        (triangle_extend_set(complete_graph(4), canonical_matching(4, 1).edges), (3, 4)),
+        (matching_triangles(4, 1), (3, 4)),
     ]
     for g, e in cases:
         base = set(enumerate_draconian(doubling(g)))
-        extended = enumerate_draconian(doubling(triangle_extend_set(g, [e])))
+        extended = enumerate_draconian(doubling(triangle_extend(g, e)))
         tail_one = {c for c in extended if c[-1] == 1}
         assert {c[:-1] for c in tail_one} == base
 
@@ -134,6 +135,48 @@ def test_hypotheses():
     assert not recurrence_hypotheses(g, (3, 4))
     with pytest.raises(ValueError):
         recurrence_hypotheses(g, (1, 4))
+
+
+def _listed_ratio(g, e):
+    """count(g with a triangle on e) / count(g), both sequence sets listed whole,
+    since count_draconian multiplies over blocks itself and so could not test
+    the product rule."""
+    extended = enumerate_draconian(doubling(triangle_extend(g, e)))
+    return Fraction(len(extended), len(enumerate_draconian(doubling(g))))
+
+
+def test_tripling_is_local_to_the_block_of_the_edge():
+    rng = random.Random(2207)
+    pairs = smaller = tripled = 0
+    while pairs < 80:
+        n = rng.randint(2, 7)
+        g = Graph.from_edges(n, random_graph(rng, n, p=rng.choice((0.3, 0.5, 0.7))))
+        if len(connected_components(g)) > 1:
+            continue
+        e = rng.choice(g.sorted_edges())
+        pos = {v: i for i, v in enumerate(sorted(set().union(*block_edges(n, g.edges, e))), 1)}
+        block = Graph.from_edges(len(pos), [(pos[u], pos[v]) for u, v in g.edges
+                                            if u in pos and v in pos])
+        ratio = _listed_ratio(g, e)
+        assert ratio == _listed_ratio(block, (pos[e[0]], pos[e[1]])), (g.descriptor(), e)
+        pairs += 1
+        smaller += block.n < g.n
+        tripled += ratio == 3
+    # the blocks are proper, and both outcomes occur
+    assert smaller >= 20 and 0 < tripled < pairs
+
+
+def test_degree_two_in_the_block_triples_to_six_vertices():
+    # e is a bridge, or an end of e has degree 2 in e's block: every such
+    # record triples; without it, both outcomes occur
+    seen = collections.Counter()
+    for r in search_triple_recurrence(6):
+        head, _, body = r["graph_encoding"].partition(";e=")
+        edges = [tuple(map(int, p.split("-"))) for p in body.split(",")]
+        block = block_edges(int(head[2:]), edges, tuple(r["edge"]))
+        ends = [sum(x in f for f in block) for x in r["edge"]]
+        seen[(len(block) == 1 or 2 in ends, r["triples"])] += 1
+    assert seen == {(True, True): 533, (False, True): 364, (False, False): 215}
 
 
 def test_graph_stream_counts_isomorphism_classes():
