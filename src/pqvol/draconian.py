@@ -32,7 +32,9 @@ exceeds r.  Later joins add at most r to that entry's weight and never
 shrink its union, so neither it nor any subset grown from it can break
 an inequality; dropping it changes no outcome.  An entry whose slack
 equals r can still break, when all r units join it.  States that differ
-only in dropped entries then share one memo key (k, r, state).
+only in dropped entries then share one memo key (k, r, state).  The
+last position has no choice left: its entry is r, so the walk closes it
+with one join and no memo entry, since a key would cost about as much.
 
 Volumes multiply over blocks.  Let G be G1 and G2 glued at a cut
 vertex v, so n = n1 + n2 - 1.  The polytope P_G is the convex hull of
@@ -177,15 +179,24 @@ def _count_walk(d: BipartiteDouble) -> int:
     memoizes it on (position, weight still to place, state).  On entry
     it drops each state entry whose slack |union| - weight exceeds the
     weight still to place: that entry can never break (module docstring).
+    The last position is closed without recursing: its entry must take
+    all r still to place, so it completes one sequence when r = 0, or
+    when r is within its cap and joins the state, and none otherwise.
+    That one join costs about what a memo key would, so the position
+    makes no memo entry.
     """
     n = d.n
+    last = n - 1
     caps, tail = _entry_bounds(d)
     memo: dict[tuple, int] = {}
 
     def walk(k: int, remaining: int, state: dict[int, int]) -> int:
-        if k == n:
-            return int(remaining == 0)
         state = {u: s for u, s in state.items() if u.bit_count() - s <= remaining}
+        if k == last:
+            # the last entry takes all that is left: one completion or none
+            if remaining == 0:
+                return 1
+            return int(remaining <= caps[k] and _join(state, remaining, d.masks[k]) is not None)
         key = (k, remaining, frozenset(state.items()))
         if key in memo:
             return memo[key]

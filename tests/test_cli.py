@@ -118,6 +118,28 @@ def test_count_byte_identical_runs(capsys):
     assert first == second
 
 
+def test_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    run_json(capsys, "count", "--family", "complete:3")
+    run_json(capsys, "count", "--family", "complete:4")
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_no_parse_leaks_into_the_next_call(capsys):
+    code, out, _ = run(capsys, "count", "--family", "complete:4", "--table")
+    assert code == 0 and out.startswith("graph ")
+    assert run_json(capsys, "count", "--family", "complete:4")["count"] == "20"
+    code, _, _ = run(capsys, "count", "--family", "complete:11", "--cap-n", "11")
+    assert code == 0
+    code, _, err = run(capsys, "count", "--family", "complete:11")
+    assert code == 3 and "over the cap 10" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--json"])
+    assert exc.value.code == 2
+    code, _, _ = run(capsys, "count", "--family", "complete:3")
+    assert code == 0
+
+
 def test_parse_error_names_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3\n1 2\n1 2\n")

@@ -150,6 +150,28 @@ def test_slack_prune_drops_nothing_that_can_break():
     assert wrong >= 30
 
 
+def test_last_position_joins_what_is_left():
+    # the last entry takes all the weight still to place, and that entry can
+    # break an inequality: a copy of the walk that skips its join miscounts
+    source = inspect.getsource(draconian._count_walk)
+    join = "remaining <= caps[k] and _join(state, remaining, d.masks[k]) is not None"
+    assert source.count(join) == 1
+    namespace = dict(vars(draconian))
+    exec(textwrap.dedent(source.replace(join, "remaining <= caps[k]")), namespace)
+    unjoined = namespace["_count_walk"]
+    assert draconian._count_walk(doubling(complete_graph(1))) == 1
+    assert draconian._count_walk(doubling(complete_graph(2))) == 2
+    rng = random.Random("last")
+    wrong = 0
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
+        want = len(enumerate_draconian(d))
+        assert draconian._count_walk(d) == want
+        wrong += unjoined(d) != want
+    assert wrong >= 20
+
+
 def test_trees_count_two_to_the_edges():
     rng = random.Random("trees")
     for _ in range(40):
