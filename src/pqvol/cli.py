@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import formulas, lost_sequences
 from .draconian import ENGINES, count_draconian, enumerate_draconian
@@ -40,9 +41,6 @@ from .graphs import (
 )
 from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_partition
 
-# family -> (builder, parameter count); a spec's parameters are the builder's arguments
-FAMILIES = {"complete": (complete_graph, 1), "matching-triangles": (matching_triangles, 2),
-            "path-deleted": (delete_path, 2), "cycle-deleted": (delete_cycle, 2)}
 DEFAULT_COUNT_CAP = 10
 # ehrhart counts n dilates: K_7 takes about 0.5 s, K_8 about 3 s
 DEFAULT_DILATE_CAP = 7
@@ -73,10 +71,21 @@ def check_cap(what: str, size: int, cap: int):
         )
 
 
-def family_size(name: str, params: tuple[int, ...]) -> int:
-    """Vertex count of a family member: n, or n + m for matching-triangles:n,m,
-    which glues one apex per matching edge."""
-    return sum(params) if name == "matching-triangles" else params[0]
+class Family(NamedTuple):
+    """Everything the CLI knows about one family, keyed by name in FAMILIES.
+
+    A spec's parameters are the arguments of build, formula and size.
+    Only the families verify knows have a row builder, with the smallest
+    n and the valid m range at n that cmd_verify checks before any row.
+    """
+
+    build: Callable[..., Graph]
+    formula: Callable[..., object]
+    arity: int
+    size: Callable[..., int]
+    smallest: int | None = None
+    m_range: Callable[[int], tuple[int, int]] | None = None
+    row: Callable[[int, int], dict] | None = None
 
 
 def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...]]:
@@ -89,7 +98,8 @@ def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...
     name, _, tail = spec.partition(":")
     if name not in FAMILIES:
         raise UsageError(f"unknown family {name!r}, expected one of {tuple(FAMILIES)}")
-    want = FAMILIES[name][1]
+    family = FAMILIES[name]
+    want = family.arity
     if not tail:
         raise UsageError(f"family {name} needs parameters, e.g. {name}:"
                          + ",".join(("5", "2")[:want]))
@@ -99,26 +109,12 @@ def parse_family(spec: str, cap: int | None = None) -> tuple[str, tuple[int, ...
         raise UsageError(f"family parameters must be integers, got {tail!r}")
     if len(params) != want:
         raise UsageError(f"family {name} takes {want} parameter(s), got {len(params)}")
-    size = family_size(name, params)
+    size = family.size(*params)
     if cap is not None:
         check_cap(f"family {spec}", size, cap)
     if size > MAX_VERTICES:
         raise UsageError(f"family {spec} has {size} vertices, over {MAX_VERTICES}")
     return name, params
-
-
-def family_graph(name: str, params: tuple[int, ...]) -> Graph:
-    return FAMILIES[name][0](*params)
-
-
-def family_formula_values(name: str, params: tuple[int, ...]) -> dict:
-    if name == "path-deleted":
-        readings = formulas.nvol_path_deleted(*params)
-        return {"as_printed": str(readings.as_printed), "grouped": str(readings.grouped)}
-    value = {"complete": formulas.nvol_complete,
-             "matching-triangles": formulas.nvol_matching_triangles,
-             "cycle-deleted": formulas.nvol_cycle_deleted}[name](*params)
-    return {"value": str(value)}
 
 
 def positive_int(text: str) -> int:
@@ -151,7 +147,8 @@ def load_input_graph(args) -> Graph:
     if args.graph:
         return load_graph(args.graph)
     if args.family:
-        return family_graph(*parse_family(args.family, args.cap_n))
+        name, params = parse_family(args.family, args.cap_n)
+        return FAMILIES[name].build(*params)
     raise UsageError("give a graph with --graph FILE or --family SPEC")
 
 
@@ -191,7 +188,10 @@ def cmd_count(args) -> int:
 
 def cmd_formula(args) -> int:
     name, params = parse_family(args.family)
-    values = family_formula_values(name, params)
+    result = FAMILIES[name].formula(*params)
+    # a closed form with several readings returns a NamedTuple, one value per field
+    fields = result._asdict() if hasattr(result, "_asdict") else {"value": result}
+    values = {k: str(v) for k, v in fields.items()}
     payload = {"family": name, "params": list(params), "values": values}
     lines = [f"{k:<11} {v}" for k, v in sorted(values.items())]
     emit(args, payload, lines)
@@ -256,12 +256,19 @@ def _cycle_row(n: int, m: int) -> dict:
     }
 
 
-# family -> (smallest n, valid m range at n, row builder(n, m)); cmd_verify
-# refuses an n or m outside those ranges before any row is built
-VERIFY_FAMILIES = {
-    "matching-triangles": (2, lambda n: (0, n // 2), _matching_row),
-    "path-deleted": (4, lambda n: (2, n - 1), _path_row),
-    "cycle-deleted": (5, lambda n: (3, n), _cycle_row),
+# family name -> Family, in the order refusals list them; matching-triangles:n,m
+# glues one apex per matching edge, so it has n + m vertices
+FAMILIES = {
+    "complete": Family(complete_graph, formulas.nvol_complete, 1, lambda n: n),
+    "matching-triangles": Family(
+        matching_triangles, formulas.nvol_matching_triangles, 2, lambda n, m: n + m,
+        smallest=2, m_range=lambda n: (0, n // 2), row=_matching_row),
+    "path-deleted": Family(
+        delete_path, formulas.nvol_path_deleted, 2, lambda n, m: n,
+        smallest=4, m_range=lambda n: (2, n - 1), row=_path_row),
+    "cycle-deleted": Family(
+        delete_cycle, formulas.nvol_cycle_deleted, 2, lambda n, m: n,
+        smallest=5, m_range=lambda n: (3, n), row=_cycle_row),
 }
 
 
@@ -283,12 +290,14 @@ def _verify_line(row: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.family not in VERIFY_FAMILIES:
-        raise UsageError(f"verify knows {', '.join(VERIFY_FAMILIES)}; got {args.family!r}")
-    smallest, m_range, build = VERIFY_FAMILIES[args.family]
+    verifiable = [name for name, family in FAMILIES.items() if family.row is not None]
+    if args.family not in verifiable:
+        raise UsageError(f"verify knows {', '.join(verifiable)}; got {args.family!r}")
+    family = FAMILIES[args.family]
+    smallest, m_range = family.smallest, family.m_range
 
     def size(row: tuple[int, int]) -> int:
-        return family_size(args.family, row)
+        return family.size(*row)
 
     # an open top of --n is the largest n whose largest row, (n, top m at n), fits;
     # an explicit top is checked against the cap before --m is read
@@ -310,7 +319,7 @@ def cmd_verify(args) -> int:
     n, m = max(((n, ms[n][-1]) for n in ns), key=size)
     check_cap(f"{args.family}:{n},{m}, the largest graph of --n {args.n} --m {args.m},",
               size((n, m)), args.cap_n)
-    rows = [build(n, m) for n in ns for m in ms[n]]
+    rows = [family.row(n, m) for n in ns for m in ms[n]]
     ok = all(row["must_hold"] for row in rows)
     payload = {"family": args.family, "rows": rows, "all_must_hold": ok}
     emit(args, payload, map(_verify_line, rows))

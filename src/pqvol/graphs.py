@@ -129,10 +129,16 @@ def triangle_extend(g: Graph, e: tuple[int, int]) -> Graph:
 
 
 def matching_triangles(n: int, m: int) -> Graph:
-    """K_n with apex n+k glued onto the edge {2k-1, 2k} for k = 1..m."""
-    g = complete_graph(n)
+    """K_n with apex n+k glued onto the edge {2k-1, 2k} for k = 1..m.
+
+    The domain, n >= 2 and 0 <= 2m <= n, is the closed form's, and is
+    checked before K_n is built.
+    """
+    if n < 2:
+        raise ValueError(f"matching triangles need n >= 2, got {n}")
     if m < 0 or 2 * m > n:
         raise ValueError(f"a matching of size {m} does not fit in {n} vertices")
+    g = complete_graph(n)
     for k in range(1, m + 1):
         g = triangle_extend(g, (2 * k - 1, 2 * k))
     return g

@@ -6,6 +6,7 @@ shipped schema; that contract is what downstream tooling consumes.
 
 import ast
 import inspect
+import itertools
 import json
 import os
 import re
@@ -103,10 +104,11 @@ def test_count_cap(capsys):
       "--cap-n", str(2 * MAX_VERTICES)], 2),
 ], ids=["count", "count-matching", "ehrhart", "recurrence"])
 def test_family_spec_refused_before_any_edge_is_built(monkeypatch, capsys, argv, want):
-    def unbuildable(name, params):
-        raise AssertionError(f"{name}:{params} was built")
+    def unbuildable(*params):
+        raise AssertionError(f"{params} was built")
 
-    monkeypatch.setattr(cli, "family_graph", unbuildable)
+    for name, family in cli.FAMILIES.items():
+        monkeypatch.setitem(cli.FAMILIES, name, family._replace(build=unbuildable))
     code, out, err = run(capsys, *argv)
     assert code == want and out == ""
     assert err.startswith("error:")
@@ -259,16 +261,48 @@ def test_formula_range_errors(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", list(cli.FAMILIES))
+def test_family_record_agrees_with_itself(name):
+    # the builder and the closed form share one domain, the vertex count is the
+    # built graph's, and every row verify can ask for builds
+    family = cli.FAMILIES[name]
+    for params in itertools.product(range(-1, 9), repeat=family.arity):
+        try:
+            g = family.build(*params)
+        except ValueError:
+            g = None
+        try:
+            family.formula(*params)
+        except ValueError:
+            assert g is None, f"{name}:{params} builds but has no closed form"
+        else:
+            assert g is not None, f"{name}:{params} has a closed form but does not build"
+            assert family.size(*params) == g.n, params
+    if family.row is not None:
+        for n in range(family.smallest, 9):
+            lo, hi = family.m_range(n)
+            for m in range(lo, hi + 1):
+                family.build(n, m)
+
+
+def test_schema_names_the_table_families():
+    defs = SCHEMA["$defs"]
+    assert defs["formula_report"]["properties"]["family"]["enum"] == list(cli.FAMILIES)
+    assert defs["verify_report"]["properties"]["family"]["enum"] == [
+        name for name, family in cli.FAMILIES.items() if family.row is not None]
+
+
 @pytest.mark.parametrize("spec, want", [
     (f"complete:{MAX_VERTICES}", 0), (f"complete:{MAX_VERTICES + 1}", 2),
     ("matching-triangles:2732,1365", 2),
 ])
 def test_formula_bounded_by_vertex_count(monkeypatch, capsys, spec, want):
     if want:
-        def unevaluable(name, params):
-            raise AssertionError(f"{name}:{params} was evaluated")
+        def unevaluable(*params):
+            raise AssertionError(f"{spec} was evaluated")
 
-        monkeypatch.setattr(cli, "family_formula_values", unevaluable)
+        name = spec.partition(":")[0]
+        monkeypatch.setitem(cli.FAMILIES, name, cli.FAMILIES[name]._replace(formula=unevaluable))
     code, out, err = run(capsys, "formula", "--family", spec)
     assert code == want, err
     if want:
@@ -293,8 +327,7 @@ def test_verify_n_capped_before_any_row(monkeypatch, capsys, family, n, m, cap, 
     def unbuildable(n, m):
         raise AssertionError(f"row n={n} m={m} was built")
 
-    smallest, m_range, _ = cli.VERIFY_FAMILIES[family]
-    monkeypatch.setitem(cli.VERIFY_FAMILIES, family, (smallest, m_range, unbuildable))
+    monkeypatch.setitem(cli.FAMILIES, family, cli.FAMILIES[family]._replace(row=unbuildable))
     code, out, err = run(capsys, "verify", "--family", family, "--n", n, "--m", m,
                          "--cap-n", cap)
     assert code == want and out == ""
@@ -308,11 +341,10 @@ def test_verify_n_below_family_minimum_refused(monkeypatch, capsys, family, n):
     def unbuildable(n, m):
         raise AssertionError(f"row n={n} m={m} was built")
 
-    smallest, m_range, _ = cli.VERIFY_FAMILIES[family]
-    monkeypatch.setitem(cli.VERIFY_FAMILIES, family, (smallest, m_range, unbuildable))
+    monkeypatch.setitem(cli.FAMILIES, family, cli.FAMILIES[family]._replace(row=unbuildable))
     code, out, err = run(capsys, "verify", "--family", family, "--n", n)
     assert code == 2 and out == ""
-    assert f"n >= {smallest}" in err
+    assert f"n >= {cli.FAMILIES[family].smallest}" in err
 
 
 @pytest.mark.parametrize("n, m, top", [("2..", "..", 7), ("..", "..", 7), ("2..", "1", 9)])
@@ -325,8 +357,8 @@ def test_verify_matching_open_top_stops_at_the_largest_row_that_fits(monkeypatch
         built.append((n, m))
         return {"n": n, "m": m, "must_hold": True}
 
-    smallest, m_range, _ = cli.VERIFY_FAMILIES["matching-triangles"]
-    monkeypatch.setitem(cli.VERIFY_FAMILIES, "matching-triangles", (smallest, m_range, row))
+    family = cli.FAMILIES["matching-triangles"]
+    monkeypatch.setitem(cli.FAMILIES, "matching-triangles", family._replace(row=row))
     code, _, err = run(capsys, "verify", "--family", "matching-triangles", "--n", n, "--m", m)
     assert code == 0, err
     assert built[0][0] == 2 and max(n for n, _ in built) == top

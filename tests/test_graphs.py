@@ -4,6 +4,7 @@ import random
 import pytest
 from oracle import blocks, components, double_neighborhoods, random_graph
 
+from pqvol import graphs
 from pqvol.graphs import (
     MAX_VERTICES,
     Graph,
@@ -95,6 +96,16 @@ def test_matching_triangles():
     for n, m in ((5, 3), (4, -1)):
         with pytest.raises(ValueError, match=f"size {m} does not fit in {n} vertices"):
             matching_triangles(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (4, 3), (1500, -1)])
+def test_matching_triangles_refused_before_k_n_is_built(monkeypatch, n, m):
+    def unbuildable(n):
+        raise AssertionError(f"K_{n} was built")
+
+    monkeypatch.setattr(graphs, "complete_graph", unbuildable)
+    with pytest.raises(ValueError):
+        matching_triangles(n, m)
 
 
 def test_doubling_masks():
