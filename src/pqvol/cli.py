@@ -126,7 +126,11 @@ def positive_int(text: str) -> int:
 
 
 def parse_range(text: str, lo_default: int, hi_default: int) -> range:
-    """A value 'k' or an inclusive range 'a..b'; either end may be omitted."""
+    """A value 'k' or an inclusive range 'a..b'; either end may be omitted.
+
+    An open end takes its default but never passes the other end, so
+    only a range with both ends given can be empty.
+    """
     text = text.strip()
     try:
         if ".." not in text:
@@ -134,7 +138,9 @@ def parse_range(text: str, lo_default: int, hi_default: int) -> range:
             return range(k, k + 1)
         lo_s, hi_s = text.split("..", 1)
         lo = int(lo_s) if lo_s else lo_default
-        hi = int(hi_s) if hi_s else hi_default
+        hi = int(hi_s) if hi_s else max(hi_default, lo)
+        if not lo_s:
+            lo = min(lo, hi)
     except ValueError:
         raise UsageError(f"expected an integer or a range a..b, got {text!r}")
     if hi < lo:
@@ -294,32 +300,27 @@ def cmd_verify(args) -> int:
     if args.family not in verifiable:
         raise UsageError(f"verify knows {', '.join(verifiable)}; got {args.family!r}")
     family = FAMILIES[args.family]
-    smallest, m_range = family.smallest, family.m_range
-
-    def size(row: tuple[int, int]) -> int:
-        return family.size(*row)
-
-    # an open top of --n is the largest n whose largest row, (n, top m at n), fits;
-    # an explicit top is checked against the cap before --m is read
-    top = args.cap_n
-    if args.n.strip().endswith(".."):
-        while top > smallest and size((top, parse_range(args.m, *m_range(top))[-1])) > args.cap_n:
-            top -= 1
-    ns = parse_range(args.n, smallest, top)
+    # an explicit top of --n is checked against the cap before --m is read
+    ns = parse_range(args.n, family.smallest, args.cap_n)
     check_cap(f"K_{ns[-1]}, the top of --n {args.n},", ns[-1], args.cap_n)
-    if ns[0] < smallest:
-        raise UsageError(f"need n >= {smallest}, got {ns[0]}")
-    ms = {}
+    if ns[0] < family.smallest:
+        raise UsageError(f"need n >= {family.smallest}, got {ns[0]}")
+    plan = []
     for n in ns:
-        lo, hi = m_range(n)
-        ms[n] = parse_range(args.m, lo, hi)
-        if ms[n][0] < lo or ms[n][-1] > hi:
+        lo, hi = family.m_range(n)
+        ms = parse_range(args.m, lo, hi)
+        if ms[0] < lo or ms[-1] > hi:
             raise UsageError(f"--m {args.m} is outside {lo}..{hi} at n = {n}")
-    # row (n, m) enumerates graphs of at most size((n, m)) vertices
-    n, m = max(((n, ms[n][-1]) for n in ns), key=size)
+        plan.append((n, ms))
+    # an open top of --n is the largest n whose largest row, (n, top m at n), fits
+    if args.n.strip().endswith(".."):
+        while len(plan) > 1 and family.size(plan[-1][0], plan[-1][1][-1]) > args.cap_n:
+            plan.pop()
+    # row (n, m) enumerates graphs of at most family.size(n, m) vertices
+    n, m = max(((n, ms[-1]) for n, ms in plan), key=lambda row: family.size(*row))
     check_cap(f"{args.family}:{n},{m}, the largest graph of --n {args.n} --m {args.m},",
-              size((n, m)), args.cap_n)
-    rows = [family.row(n, m) for n in ns for m in ms[n]]
+              family.size(n, m), args.cap_n)
+    rows = [family.row(n, m) for n, ms in plan for m in ms]
     ok = all(row["must_hold"] for row in rows)
     payload = {"family": args.family, "rows": rows, "all_must_hold": ok}
     emit(args, payload, map(_verify_line, rows))

@@ -135,8 +135,6 @@ def is_in_dilate(g: Graph, t: int, z: Sequence[int]) -> bool:
     if len(z) != 2 * g.n:
         raise ValueError(f"point has length {len(z)}, expected {2 * g.n}")
     a, b = z[: g.n], z[g.n :]
-    if any(x < 0 for x in a) or any(x < 0 for x in b):
-        return False
     if sum(a) != t or sum(b) != t:
         return False
     return transportation_feasible(doubling(g).masks, a, b)

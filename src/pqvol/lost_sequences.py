@@ -14,10 +14,12 @@ across the two ends of a skipped chord.
 
 All constructions deduplicate.  The traditional cardinality
 expressions for these families are kept separate as claims, because
-several of them disagree with the deduplicated constructions (the
-split family at cycle length 4 halves, and the path overlap count is
-off by one at small sizes).  Reports show claimed and actual side by
-side rather than reconciling them.
+several of them disagree with the deduplicated constructions.  The
+split family at cycle length 4 halves, 2(n-4) below its claim.  The
+claimed path union is one short at every size: at m = 2 the split
+claim is one over and the overlap claim two over, and at m >= 3 the
+overlap claim 3m-4 is one over.  Reports show claimed and actual side
+by side rather than reconciling them.
 """
 
 from __future__ import annotations
@@ -206,7 +208,6 @@ def _compare(deleted: Graph, families: dict) -> tuple[dict, list]:
 
 def verify_path_identity(n: int, m: int) -> IdentityReport:
     """Does heavy-union-split equal the sequences lost by deleting the path?"""
-    _check_path_params(n, m)
     heavy = path_heavy_exceptions(n, m)
     split = path_split_exceptions(n, m)
     actual, diff = _compare(delete_path(n, m), {"heavy": heavy, "split": split})
@@ -225,7 +226,6 @@ def verify_cycle_identity(n: int, m: int) -> IdentityReport:
     At m = 4 the triple family joins the union.  Pairwise disjointness
     of the deduplicated families is checked alongside the identity.
     """
-    _check_cycle_params(n, m)
     families = {"heavy": cycle_heavy_exceptions(n, m), "split": cycle_split_exceptions(n, m)}
     if m == 4:
         families["triple"] = cycle_triple_exceptions(n, m)

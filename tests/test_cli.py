@@ -428,6 +428,26 @@ def test_verify_bad_range(capsys):
     assert "range" in err
 
 
+@pytest.mark.parametrize("family, n, m, cap, want, text", [
+    ("cycle-deleted", "7..", "..", "6", 3, "--cap-n"),
+    ("path-deleted", "..", "..", "3", 3, "--cap-n"),
+    ("cycle-deleted", "..4", "..", "10", 2, "need n >= 5"),
+    ("cycle-deleted", "5..6", "6..", "10", 2, "outside 3..5 at n = 5"),
+    ("path-deleted", "5", "..1", "10", 2, "outside 2..4"),
+])
+def test_verify_open_end_never_empties_a_range(monkeypatch, capsys, family, n, m, cap, want,
+                                               text):
+    # an open end stops at the other end, so the refusal names the cap or the domain
+    def unbuildable(n, m):
+        raise AssertionError(f"row n={n} m={m} was built")
+
+    monkeypatch.setitem(cli.FAMILIES, family, cli.FAMILIES[family]._replace(row=unbuildable))
+    code, out, err = run(capsys, "verify", "--family", family, "--n", n, "--m", m,
+                         "--cap-n", cap)
+    assert code == want and out == ""
+    assert text in err and "empty range" not in err
+
+
 @pytest.mark.parametrize("family, n, m", [
     ("matching-triangles", "5", "3"), ("matching-triangles", "5", "-1"),
     ("path-deleted", "6", "1"), ("path-deleted", "6", "6"),

@@ -8,6 +8,7 @@ from pqvol import lost_sequences
 from pqvol.cli import main
 from pqvol.combinat import SequenceSet
 from pqvol.draconian import enumerate_draconian, is_draconian_subset
+from pqvol.formulas import nvol_complete, nvol_cycle_deleted, nvol_path_deleted
 from pqvol.graphs import complete_graph, delete_cycle, delete_path, doubling
 from pqvol.lost_sequences import (
     claimed_cycle_sizes,
@@ -96,6 +97,24 @@ def test_cycle_triple_only_at_four():
     for m in (3, 5):
         with pytest.raises(ValueError):
             cycle_triple_exceptions(6, m)
+
+
+def test_closed_forms_are_complete_minus_the_claimed_union():
+    # each closed form is C(2n-2, n-1) less the claimed family sizes; the
+    # claims, not the constructions, are where the closed forms go astray
+    for n in range(4, 21):
+        for m in range(2, n):
+            claimed = claimed_path_sizes(n, m)
+            assert nvol_path_deleted(n, m).grouped == nvol_complete(n) - claimed["union"] - 1
+            heavy, split = path_heavy_exceptions(n, m), path_split_exceptions(n, m)
+            assert len(split) == (n if m == 2 else n * (m - 1) - (m - 3)), (n, m)
+            assert len(heavy.intersection(split)) == (0 if m == 2 else 3 * m - 5), (n, m)
+    for n in range(5, 21):
+        for m in range(3, n + 1):
+            claimed = claimed_cycle_sizes(n, m)
+            assert nvol_cycle_deleted(n, m) == nvol_complete(n) - claimed["union"]
+        undercount = claimed_cycle_sizes(n, 4)["split"] - len(cycle_split_exceptions(n, 4))
+        assert undercount == 2 * (n - 4)
 
 
 def test_members_are_compositions_and_fail_on_deleted_graph():

@@ -125,6 +125,44 @@ def test_strip_last_unit_recovers_base():
         assert {c[:-1] for c in tail_one} == base
 
 
+def lift_census(n_max: int) -> tuple[collections.Counter, list[int]]:
+    """Tally the tripling docstring's lift facts over every (G, e) with G
+    connected on at most n_max vertices, in both orientations of e, and
+    list each record's defect 3·count(G) − count(G △ e).
+    """
+    tally, defects = collections.Counter(), []
+    for g in connected_graph_stream(n_max):
+        base = enumerate_draconian(doubling(g))
+        one = {lift_one(c) for c in base}
+        for e in g.sorted_edges():
+            extended = set(enumerate_draconian(doubling(triangle_extend(g, e))))
+            defect = 3 * len(base) - len(extended)
+            defects.append(defect)
+            tally["records"] += 1
+            tally["apex entry 1 is lift_one"] += {c for c in extended if c[-1] == 1} == one
+            for u, v in (e, e[::-1]):
+                bump = {lift_bump(c, u) for c in base}
+                resolve = {lift_resolve(c, u, v, bump) for c in base}
+                strays = len(resolve - extended)
+                tally["orientations"] += 1
+                tally["lift_one and lift_bump land"] += one <= extended and bump <= extended
+                tally["lift_resolve injective"] += len(resolve) == len(base)
+                tally["images cover"] += one | bump | resolve >= extended
+                tally["defect is strays"] += defect == strays
+                tally["resolve strays"] += strays > 0
+    return tally, defects
+
+
+def test_lift_facts_to_n_5():
+    # CI runs the same census to n = 6: 1112 records, 430 stray orientations, defects 0..48
+    tally, defects = lift_census(5)
+    assert tally == {"records": 161, "apex entry 1 is lift_one": 161, "orientations": 322,
+                     "lift_one and lift_bump land": 322, "lift_resolve injective": 322,
+                     "images cover": 322, "defect is strays": 322, "resolve strays": 32}
+    assert (min(defects), max(defects)) == (0, 12)
+    assert sum(d > 0 for d in defects) == 16
+
+
 def test_hypotheses():
     assert recurrence_hypotheses(complete_graph(3), (1, 2))
     assert not recurrence_hypotheses(complete_graph(4), (1, 2))
