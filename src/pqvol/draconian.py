@@ -36,6 +36,30 @@ only in dropped entries then share one memo key (k, r, state).  The
 last position has no choice left: its entry is r, so the walk closes it
 with one join and no memo entry, since a key would cost about as much.
 
+The walk steps over twin classes, not vertices.  Left vertices with one
+mask are true twins of G, with one closed neighborhood; group [n] into
+classes T by mask, and let sigma_T be the weight c places on T.
+(1) N(S) is the union of the masks of S's members, so it depends only
+on which classes S meets.  (2) Let U be the union of the classes S
+meets.  Then N(S) = N(U), and c(S) <= c(U) since c >= 0, so S breaks an
+inequality only if U does: the S of heaviest weight for a given set of
+met classes is the union of whole classes, and checking those suffices.
+(3) c(U) is the sum of sigma_T over the classes of U, so c is draconian
+exactly when sigma satisfies the same strict inequalities over unions
+of classes, sigma(U) < |N(U)|, which are the subset inequalities of
+the classes taken as positions with their masks.  (4) The c with given
+class sums are one independent choice per class, a weak composition of
+sigma_T into |T| parts, so each sigma is reached by
+prod_T C(sigma_T + |T| - 1, |T| - 1) sequences c.  The count is
+therefore the sum of that product over the draconian sigma, and the
+walk weights each class step by its factor.  The state, the slack
+prune and the closed last position argue over sets of positions, so
+they hold for classes as they do for vertices; the inequality for U = T
+caps sigma_T at |N(T)| - 1.  When every class has one member the walk
+is the per-vertex walk.  enumerate_draconian, the flow test and the
+Ehrhart oracle stay per vertex, so they check the quotient
+independently.
+
 Volumes multiply over blocks.  Let G be G1 and G2 glued at a cut
 vertex v, so n = n1 + n2 - 1.  The polytope P_G is the convex hull of
 P_G1 and P_G2, which meet only in the vertex (e_v, e_v).  Their
@@ -53,7 +77,9 @@ blocks' draconian counts: an isolated vertex (K_1) gives 1, a bridge
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 from typing import Sequence
 
 from .combinat import weak_compositions
@@ -89,14 +115,15 @@ def _join(state: dict[int, int], v: int, m: int) -> dict[int, int] | None:
     return out
 
 
-def _entry_bounds(d: BipartiteDouble) -> tuple[list[int], list[int]]:
-    """caps[k], the most entry k may hold, and tail[k] = caps[k] + ... + caps[n-1].
+def _entry_bounds(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """caps[k], the most position k may hold, and tail[k] = caps[k] + ... + caps[-1].
 
-    The singleton inequality caps entry i at |N(i)| - 1.
+    The inequality for the vertices of position k caps it at |N| - 1,
+    where N is its neighborhood mask masks[k].
     """
-    caps = [m.bit_count() - 1 for m in d.masks]
-    tail = [0] * (d.n + 1)
-    for k in range(d.n - 1, -1, -1):
+    caps = [m.bit_count() - 1 for m in masks]
+    tail = [0] * (len(masks) + 1)
+    for k in range(len(masks) - 1, -1, -1):
         tail[k] = tail[k + 1] + caps[k]
     return caps, tail
 
@@ -142,7 +169,7 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
         return [c for c in weak_compositions(d.n - 1, d.n) if is_draconian_flow(d, c)]
 
     n = d.n
-    caps, tail = _entry_bounds(d)
+    caps, tail = _entry_bounds(d.masks)
     out: list[tuple[int, ...]] = []
     c = [0] * n
 
@@ -175,28 +202,39 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
 def _count_walk(d: BipartiteDouble) -> int:
     """The number of draconian sequences for d, found without listing them.
 
-    The walk takes enumerate_draconian's steps, but returns a count and
-    memoizes it on (position, weight still to place, state).  On entry
-    it drops each state entry whose slack |union| - weight exceeds the
-    weight still to place: that entry can never break (module docstring).
-    The last position is closed without recursing: its entry must take
-    all r still to place, so it completes one sequence when r = 0, or
+    The walk places one weight per twin class, the left vertices with
+    one mask, in order of first occurrence (module docstring).  Its
+    steps are enumerate_draconian's over the class masks, each weighted:
+    a class of t vertices that takes weight v stands for the
+    C(v + t - 1, t - 1) ways to split v among its members, so it
+    multiplies its subtree's count by that.  The count is memoized on
+    (position, weight still to place, state).  On entry the walk drops
+    each state entry whose slack |union| - weight exceeds the weight
+    still to place: that entry can never break (module docstring).
+    The last position is closed without recursing: it must take all r
+    still to place, so it counts C(r + t - 1, t - 1) when r = 0, or
     when r is within its cap and joins the state, and none otherwise.
     That one join costs about what a memo key would, so the position
     makes no memo entry.
     """
-    n = d.n
-    last = n - 1
-    caps, tail = _entry_bounds(d)
+    classes = Counter(d.masks)  # mask -> class size, in order of first occurrence
+    masks = list(classes)
+    last = len(masks) - 1
+    caps, tail = _entry_bounds(masks)
+    # weights[k][v]: the ways to split weight v among class k's members
+    weights = [[comb(v + t - 1, t - 1) for v in range(cap + 1)]
+               for cap, t in zip(caps, classes.values())]
     memo: dict[tuple, int] = {}
 
     def walk(k: int, remaining: int, state: dict[int, int]) -> int:
         state = {u: s for u, s in state.items() if u.bit_count() - s <= remaining}
         if k == last:
-            # the last entry takes all that is left: one completion or none
+            # the last class takes all that is left: weights[k][r] completions or none
             if remaining == 0:
                 return 1
-            return int(remaining <= caps[k] and _join(state, remaining, d.masks[k]) is not None)
+            if remaining <= caps[k] and _join(state, remaining, masks[k]) is not None:
+                return weights[k][remaining]
+            return 0
         key = (k, remaining, frozenset(state.items()))
         if key in memo:
             return memo[key]
@@ -206,15 +244,16 @@ def _count_walk(d: BipartiteDouble) -> int:
         if low == 0:
             count = walk(k + 1, remaining, state)
             low = 1
-        m = d.masks[k]
+        m = masks[k]
+        ways = weights[k]
         for v in range(low, high + 1):
             if (grown := _join(state, v, m)) is None:
                 break
-            count += walk(k + 1, remaining - v, grown)
+            count += ways[v] * walk(k + 1, remaining - v, grown)
         memo[key] = count
         return count
 
-    count = walk(0, n - 1, {0: 0})
+    count = walk(0, d.n - 1, {0: 0})
     # walk's closure refers to itself: break the cycle so memo is freed without a GC pass
     del walk
     return count

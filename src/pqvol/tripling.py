@@ -134,10 +134,9 @@ class PartitionReport:
 
 
 def _oriented_images(base: list[tuple[int, ...]], u: int, v: int):
-    one = {lift_one(c) for c in base}
     bump = {lift_bump(c, u) for c in base}
     resolve = {lift_resolve(c, u, v, bump) for c in base}
-    return one, bump, resolve
+    return bump, resolve
 
 
 def verify_partition(g: Graph, e: tuple[int, int], matching_mode: bool = False) -> PartitionReport:
@@ -153,16 +152,18 @@ def verify_partition(g: Graph, e: tuple[int, int], matching_mode: bool = False) 
     base = enumerate_draconian(doubling(g))
     extended = set(enumerate_draconian(doubling(extended_graph)))
 
-    one, bump, resolve = _oriented_images(base, u, v)
+    # lift_one ignores the edge, so both orientations share its image
+    one = {lift_one(c) for c in base}
+    bump, resolve = _oriented_images(base, u, v)
     m = len(base)
     union = one | bump | resolve
     disjoint = len(union) == len(one) + len(bump) + len(resolve)
     equals = union == extended
 
-    r_one, r_bump, r_resolve = _oriented_images(base, v, u)
-    r_union = r_one | r_bump | r_resolve
+    r_bump, r_resolve = _oriented_images(base, v, u)
+    r_union = one | r_bump | r_resolve
     reversed_holds = (
-        len(r_union) == len(r_one) + len(r_bump) + len(r_resolve) and r_union == extended
+        len(r_union) == len(one) + len(r_bump) + len(r_resolve) and r_union == extended
     )
 
     return PartitionReport(

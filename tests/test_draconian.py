@@ -3,6 +3,7 @@ import gc
 import inspect
 import random
 import textwrap
+from math import comb
 
 import pytest
 from oracle import brute_draconian, components, compositions, random_graph
@@ -138,10 +139,11 @@ def test_slack_prune_drops_nothing_that_can_break():
     namespace = dict(vars(draconian))
     exec(textwrap.dedent(source.replace(keep, "u.bit_count() - s < remaining")), namespace)
     early = namespace["_count_walk"]
-    assert early(doubling(delete_cycle(5, 4))) == 46
+    assert draconian._count_walk(doubling(delete_path(5, 3))) == 54
+    assert early(doubling(delete_path(5, 3))) == 56
     rng = random.Random("slack")
     wrong = 0
-    for _ in range(100):
+    for _ in range(200):
         n = rng.randint(2, 7)
         d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
         want = len(enumerate_draconian(d))
@@ -154,7 +156,7 @@ def test_last_position_joins_what_is_left():
     # the last entry takes all the weight still to place, and that entry can
     # break an inequality: a copy of the walk that skips its join miscounts
     source = inspect.getsource(draconian._count_walk)
-    join = "remaining <= caps[k] and _join(state, remaining, d.masks[k]) is not None"
+    join = "remaining <= caps[k] and _join(state, remaining, masks[k]) is not None"
     assert source.count(join) == 1
     namespace = dict(vars(draconian))
     exec(textwrap.dedent(source.replace(join, "remaining <= caps[k]")), namespace)
@@ -170,6 +172,64 @@ def test_last_position_joins_what_is_left():
         assert draconian._count_walk(d) == want
         wrong += unjoined(d) != want
     assert wrong >= 20
+
+
+def blow_up(base_n, base_edges, sizes):
+    """Each base vertex i becomes a class of sizes[i-1] true twins: the
+    class is a clique, and two classes are joined when their vertices are
+    adjacent in the base graph.  Classes take consecutive labels."""
+    first = [1]
+    for t in sizes:
+        first.append(first[-1] + t)
+    members = [range(first[i], first[i + 1]) for i in range(base_n)]
+    edges = {(u, v) for vs in members for u in vs for v in vs if u < v}
+    edges |= {(u, v) for a, b in base_edges for u in members[a - 1] for v in members[b - 1]}
+    return Graph.from_edges(first[-1] - 1, sorted(edges)), members
+
+
+def twin_blow_ups(rng, draws):
+    """Seeded blow-ups of random 3-5 vertex graphs into classes of 1-3 twins, n <= 8."""
+    for _ in range(draws):
+        base_n = rng.randint(3, 5)
+        base_edges = random_graph(rng, base_n, rng.choice((0.3, 0.6, 0.9)))
+        sizes = [rng.randint(1, 3) for _ in range(base_n)]
+        limit = rng.randint(base_n + 1, 8)
+        while sum(sizes) > limit:
+            sizes[rng.randrange(base_n)] = 1
+        yield blow_up(base_n, base_edges, sizes)
+
+
+def test_twin_classes_count_like_the_oracle_and_the_flow_engine():
+    rng = random.Random("twins")
+    merged = 0
+    for g, _ in twin_blow_ups(rng, 30):
+        d = doubling(g)
+        want = len(brute_draconian(g.n, g.sorted_edges()))
+        assert draconian._count_walk(d) == want, g.descriptor()
+        assert len(enumerate_draconian(d, "flow")) == want, g.descriptor()
+        merged += len(set(d.masks)) < g.n
+    assert merged >= 25
+
+
+def test_count_ignores_where_twins_sit_in_the_vertex_order():
+    rng = random.Random("scatter")
+    for g, members in twin_blow_ups(rng, 40):
+        want = draconian._count_walk(doubling(g))
+        # deal the classes out like cards: a class's members land far apart
+        dealt = sorted((k, i) for i, vs in enumerate(members) for k in range(len(vs)))
+        perm = [0] * g.n
+        for label, (k, i) in enumerate(dealt, 1):
+            perm[members[i][k] - 1] = label
+        assert draconian._count_walk(doubling(relabel(g, perm))) == want, (g.descriptor(), perm)
+        shuffled = list(range(1, g.n + 1))
+        rng.shuffle(shuffled)
+        assert draconian._count_walk(doubling(relabel(g, shuffled))) == want, (g.descriptor(), shuffled)
+
+
+def test_complete_graphs_count_the_central_binomial():
+    # K_n is one class of n twins: the walk has a single, closed position
+    for n in (*range(1, 13), 200):
+        assert count_draconian(complete_graph(n)).count == comb(2 * n - 2, n - 1), n
 
 
 def test_trees_count_two_to_the_edges():
