@@ -32,9 +32,23 @@ exceeds r.  Later joins add at most r to that entry's weight and never
 shrink its union, so neither it nor any subset grown from it can break
 an inequality; dropping it changes no outcome.  An entry whose slack
 equals r can still break, when all r units join it.  States that differ
-only in dropped entries then share one memo key (k, r, state).  The
-last position has no choice left: its entry is r, so the walk closes it
-with one join and no memo entry, since a key would cost about as much.
+only in dropped entries then share one memo key (k, r, state).
+
+The walk closes its last two positions a and b, with masks A and B,
+without recursing or making a memo entry.  They take v and r - v.  The
+inequalities still open are those of a placed subset joined with a, b
+or both, and the state keeps the heaviest placed subset per union.
+Write uA for the union of u and A.  The open inequalities are then, for
+each entry (u, s), the empty set (0, 0) among them:
+s + v < |uA|, s + r - v < |uB| and s + r < |uAB|.  At v = 0 the walk
+joins no weight for a, but the first inequality holds anyway (every
+entry has s < |u|), and the third follows from the second; likewise
+at v = r.  So the pair counts nothing when some entry has
+s + r >= |uAB|, and otherwise every v from max(0, r - top_b) to
+min(top_a, r), where top_a is the least |uA| - s - 1 over the entries
+(the empty set gives a's cap) and top_b is b's.  With one class every
+mask holds its own right vertex and so all n of them: G is complete and
+the class takes any split of n - 1.
 
 The walk steps over twin classes, not vertices.  Left vertices with one
 mask are true twins of G, with one closed neighborhood; group [n] into
@@ -53,10 +67,10 @@ sigma_T into |T| parts, so each sigma is reached by
 prod_T C(sigma_T + |T| - 1, |T| - 1) sequences c.  The count is
 therefore the sum of that product over the draconian sigma, and the
 walk weights each class step by its factor.  The state, the slack
-prune and the closed last position argue over sets of positions, so
+prune and the closed last positions argue over sets of positions, so
 they hold for classes as they do for vertices; the inequality for U = T
 caps sigma_T at |N(T)| - 1.  When every class has one member the walk
-is the per-vertex walk.  enumerate_draconian, the flow test and the
+counts per vertex.  enumerate_draconian, the flow test and the
 Ehrhart oracle stay per vertex, so they check the quotient
 independently.
 
@@ -211,11 +225,12 @@ def _count_walk(d: BipartiteDouble) -> int:
     (position, weight still to place, state).  On entry the walk drops
     each state entry whose slack |union| - weight exceeds the weight
     still to place: that entry can never break (module docstring).
-    The last position is closed without recursing: it must take all r
-    still to place, so it counts C(r + t - 1, t - 1) when r = 0, or
-    when r is within its cap and joins the state, and none otherwise.
-    That one join costs about what a memo key would, so the position
-    makes no memo entry.
+    The last two positions are closed without recursing: each entry
+    bounds what the first may take and what the second may take, or
+    rules the pair out, and the pair counts the product of the two
+    classes' weights over the v that both bounds allow, read off a
+    table of running sums.  The pair reads each entry once, so it skips
+    the slack filter, which changes no outcome, and makes no memo entry.
     """
     classes = Counter(d.masks)  # mask -> class size, in order of first occurrence
     masks = list(classes)
@@ -224,17 +239,39 @@ def _count_walk(d: BipartiteDouble) -> int:
     # weights[k][v]: the ways to split weight v among class k's members
     weights = [[comb(v + t - 1, t - 1) for v in range(cap + 1)]
                for cap, t in zip(caps, classes.values())]
+    if last == 0:
+        # one class: every mask is full, so every split of n - 1 is draconian
+        return weights[0][d.n - 1]
+    # pairs[r][v]: the ways the last two classes take some v' <= v and r - v'
+    first, second = weights[last - 1], weights[last]
+    pairs = []
+    for r in range(min(tail[last - 1], d.n - 1) + 1):
+        run, row = 0, []
+        for v in range(min(caps[last - 1], r) + 1):
+            if r - v <= caps[last]:
+                run += first[v] * second[r - v]
+            row.append(run)
+        pairs.append(row)
     memo: dict[tuple, int] = {}
 
     def walk(k: int, remaining: int, state: dict[int, int]) -> int:
+        if k == last - 1:
+            # the last two classes take v and remaining - v: bound v from each entry
+            a, b = masks[k], masks[last]
+            top_a = top_b = remaining
+            for u, s in state.items():
+                if s + remaining >= (u | a | b).bit_count():
+                    return 0
+                if (t := (u | a).bit_count() - s - 1) < top_a:
+                    top_a = t
+                if (t := (u | b).bit_count() - s - 1) < top_b:
+                    top_b = t
+            low = remaining - top_b
+            if low > top_a:
+                return 0
+            row = pairs[remaining]
+            return row[top_a] - row[low - 1] if low > 0 else row[top_a]
         state = {u: s for u, s in state.items() if u.bit_count() - s <= remaining}
-        if k == last:
-            # the last class takes all that is left: weights[k][r] completions or none
-            if remaining == 0:
-                return 1
-            if remaining <= caps[k] and _join(state, remaining, masks[k]) is not None:
-                return weights[k][remaining]
-            return 0
         key = (k, remaining, frozenset(state.items()))
         if key in memo:
             return memo[key]

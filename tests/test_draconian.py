@@ -153,13 +153,16 @@ def test_slack_prune_drops_nothing_that_can_break():
 
 
 def test_last_position_joins_what_is_left():
-    # the last entry takes all the weight still to place, and that entry can
-    # break an inequality: a copy of the walk that skips its join miscounts
+    # the last class takes all the weight the one before it leaves, and that
+    # can break an inequality: a copy of the walk's closing pair that bounds
+    # the last class by its cap alone, with no entry joined to it, miscounts
     source = inspect.getsource(draconian._count_walk)
-    join = "remaining <= caps[k] and _join(state, remaining, masks[k]) is not None"
-    assert source.count(join) == 1
+    both = "if s + remaining >= (u | a | b).bit_count():"
+    alone = "(u | b).bit_count() - s - 1"
+    assert source.count(both) == 1 and source.count(alone) == 1
+    source = source.replace(both, "if False:").replace(alone, "caps[last]")
     namespace = dict(vars(draconian))
-    exec(textwrap.dedent(source.replace(join, "remaining <= caps[k]")), namespace)
+    exec(textwrap.dedent(source), namespace)
     unjoined = namespace["_count_walk"]
     assert draconian._count_walk(doubling(complete_graph(1))) == 1
     assert draconian._count_walk(doubling(complete_graph(2))) == 2
