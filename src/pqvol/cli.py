@@ -44,8 +44,9 @@ from .tripling import recurrence_hypotheses, search_triple_recurrence, verify_pa
 DEFAULT_COUNT_CAP = 10
 # ehrhart counts n dilates: K_7 takes about 0.5 s, K_8 about 3 s
 DEFAULT_DILATE_CAP = 7
-# a hard bound, like MAX_VERTICES: n = 9 would canonicalize 12 346 * 256,
-# about 3.2 M, candidate graphs before the first search task
+# a hard bound, like MAX_VERTICES, set by the task loop: the stream reaches
+# n = 8 in seconds, but counting its 11 117 classes is estimated at 40 min
+# with --jobs 1
 SEARCH_MAX_N = 8
 
 

@@ -212,16 +212,72 @@ def _canonical_encoding(g: Graph) -> tuple:
 
     Those relabelings are exactly the orders that permute the vertices
     within each degree class, classes taken from the highest degree down.
+    The least one is found row by row, without trying them all:
+
+    - Every relabeling has g's m edges, and of two sorted edge tuples of
+      length m the smaller has the greater upper-triangle bit string,
+      pairs (1, 2), (1, 3), ..., (n - 1, n) in order: at the first edge
+      where the tuples differ, the smaller one's edge is present in it
+      and absent in the other, and both agree on every pair before it.
+      Read in rows, row k holding the pairs (k, k + 1..n), the greatest
+      bit string has the greatest row 1, then the greatest row 2 among
+      those, and so on.
+    - A state is an ordered partition of the unlabelled vertices into
+      cells; it stands for the relabelings that give each cell the next
+      |cell| labels, in cell order.  The first state is the degree
+      classes, highest first.  Label k goes to a vertex x of the first
+      cell.  Row k is greatest when each later cell lists x's
+      neighbours first, and only the relabelings that do so reach it:
+      cell by cell, |cell & N(x)| ones and then zeros.  Splitting each
+      cell into its part in N(x) and the rest gives the state of
+      exactly those relabelings.  So keeping every branch whose row ties
+      the best, and only those, keeps exactly the relabelings whose rows
+      1..k are greatest; after row n - 1 the last label is forced.
+    - Twins x and y in the first cell, N(x) - y = N(y) - x, give the
+      same rows: swapping them is an automorphism of g that fixes every
+      labelled vertex and, as both lie in the first cell, every cell, so
+      it maps x's relabelings onto y's row for row.  Only one of them is
+      tried.  Likewise equal states give equal rows, so each
+      level keeps its states as a set.
     """
-    classes: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        classes.setdefault(g.degree(v), []).append(v)
-    orders = itertools.product(*(itertools.permutations(classes[d])
-                                 for d in sorted(classes, reverse=True)))
-    relabelings = ({v: i for i, v in enumerate(itertools.chain.from_iterable(flat), 1)}
-                   for flat in orders)
-    return (g.n, min(tuple(sorted((p[u], p[v]) if p[u] < p[v] else (p[v], p[u])
-                                  for u, v in g.edges)) for p in relabelings))
+    adj = g.adj
+    classes: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        classes[a.bit_count()] = classes.get(a.bit_count(), 0) | 1 << v
+    states = {tuple(classes[d] for d in sorted(classes, reverse=True))}
+    edges = []
+    for k in range(1, g.n):
+        best, ties = -1, []
+        for first, *rest in states:
+            # one vertex per set of twins: x is a twin of a vertex z tried
+            # before when N(x) = N(z) or N[x] = N[z], and one set holds
+            # both, since N(x) = N[z] would put z in N(x) but not x in N(z)
+            seen = set()
+            left = first
+            while left:
+                bit = left & -left
+                left ^= bit
+                ax = adj[bit.bit_length() - 1]
+                if ax in seen or ax | bit in seen:
+                    continue
+                seen.update((ax, ax | bit))
+                row, cells = 0, []
+                for cell in (first ^ bit, *rest):
+                    near = cell & ax
+                    size, a = cell.bit_count(), near.bit_count()
+                    row = row << size | ((1 << a) - 1) << (size - a)
+                    if near:
+                        cells.append(near)
+                    if near != cell:
+                        cells.append(cell ^ near)
+                if row > best:
+                    best, ties = row, []
+                if row == best:
+                    ties.append(tuple(cells))
+        states = set(ties)
+        width = g.n - k
+        edges += [(k, k + j) for j in range(1, width + 1) if best >> (width - j) & 1]
+    return (g.n, tuple(edges))
 
 
 def connected_graph_stream(n_max: int) -> Iterator[Graph]:
@@ -300,6 +356,7 @@ def _search_task(g: Graph) -> list[dict]:
     base = count_draconian(g).count
     orbit = _edge_orbits(g)
     counted: dict[tuple[int, int], int] = {}
+    encoding = g.descriptor()
     records = []
     for e in g.sorted_edges():
         if orbit[e] == e:
@@ -310,7 +367,7 @@ def _search_task(g: Graph) -> list[dict]:
         category = ("hypotheses-hold" if hyp else "hypotheses-fail") + \
                    (":triples" if triples else ":fails")
         records.append({
-            "graph_encoding": g.descriptor(),
+            "graph_encoding": encoding,
             "edge": list(e),
             "hypotheses_hold": hyp,
             "triples": triples,

@@ -1,7 +1,9 @@
 import collections
+import inspect
 import itertools
 import os
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -430,3 +432,81 @@ def test_canonical_encoding_matches_filtered_permutations():
         n = rng.randint(1, 6)
         g = Graph.from_edges(n, random_graph(rng, n, p=rng.choice((0.2, 0.5, 0.8))))
         assert tripling._canonical_encoding(g) == filtered(g)
+
+
+def _permutation_encoding(g):
+    """The canonical form as a brute-force minimum: the least sorted edge
+    tuple over every product of permutations of the degree classes,
+    classes taken from the highest degree down."""
+    classes = {}
+    for v in range(1, g.n + 1):
+        classes.setdefault(g.degree(v), []).append(v)
+    orders = itertools.product(*(itertools.permutations(classes[d])
+                                 for d in sorted(classes, reverse=True)))
+    relabelings = ({v: i for i, v in enumerate(itertools.chain.from_iterable(flat), 1)}
+                   for flat in orders)
+    return (g.n, min(tuple(sorted((p[u], p[v]) if p[u] < p[v] else (p[v], p[u])
+                                  for u, v in g.edges)) for p in relabelings))
+
+
+@pytest.fixture(scope="module")
+def stream_candidates():
+    """Every graph the stream canonicalizes up to 6 vertices."""
+    calls = []
+    canonical = tripling._canonical_encoding
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tripling, "_canonical_encoding", lambda g: calls.append(g) or canonical(g))
+        list(connected_graph_stream(6))
+    assert len(calls) == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 == 1306
+    return calls
+
+
+def _named_graphs():
+    """Graphs on 7 and 8 vertices with many tied rows, many twins or both."""
+    def cycle(n):
+        return [(v, v + 1) for v in range(1, n)] + [(1, n)]
+
+    matching = [(v, v + 1) for v in range(1, 8, 2)]
+    cube = [(u + 1, v + 1) for u in range(8) for v in range(u + 1, 8) if (u ^ v).bit_count() == 1]
+    return {
+        "K_8": complete_graph(8),
+        "empty_8": Graph(8, frozenset()),
+        "C_8": Graph.from_edges(8, cycle(8)),
+        "K_4,4": Graph.from_edges(8, [(u, v) for u in range(1, 5) for v in range(5, 9)]),
+        "Q_3": Graph.from_edges(8, cube),
+        "2K_4": Graph.from_edges(8, [(u + s, v + s) for s in (0, 4)
+                                     for u, v in itertools.combinations(range(1, 5), 2)]),
+        "matching_8": Graph.from_edges(8, matching),
+        "W_7": Graph.from_edges(7, cycle(6) + [(v, 7) for v in range(1, 7)]),
+        "K_8-matching": Graph.from_edges(8, set(complete_graph(8).edges) - set(matching)),
+    }
+
+
+def test_canonical_encoding_matches_every_relabeling(stream_candidates):
+    for g in stream_candidates:
+        assert tripling._canonical_encoding(g) == _permutation_encoding(g), g.descriptor()
+    rng = random.Random(2014)
+    for name, g in _named_graphs().items():
+        key = tripling._canonical_encoding(g)
+        assert key == _permutation_encoding(g), name
+        # and the same key under a shuffled labelling
+        p = dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n)))
+        assert tripling._canonical_encoding(Graph.from_edges(g.n, [(p[u], p[v])
+                                                                  for u, v in g.edges])) == key
+
+
+def test_canonical_encoding_needs_every_tie_and_only_true_twins(stream_candidates):
+    # a copy that follows only the first branch of a tied row, and a copy that
+    # skips every vertex of the first cell after one (all have one degree, so
+    # this takes equal degrees for twins), each give a wrong key
+    source = inspect.getsource(tripling._canonical_encoding)
+    mutants = {"first tie": ("if row == best:", "if row == best and not ties:"),
+               "equal degree": ("if ax in seen or ax | bit in seen:", "if seen:")}
+    wrong = {}
+    for name, (line, mutant) in mutants.items():
+        assert source.count(line) == 1
+        namespace = dict(vars(tripling))
+        exec(textwrap.dedent(source.replace(line, mutant)), namespace)
+        copy = namespace["_canonical_encoding"]
+        wrong[name] = sum(copy(g) != tripling._canonical_encoding(g) for g in stream_candidates)
+    assert wrong == {"first tie": 10, "equal degree": 257}
