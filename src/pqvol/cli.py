@@ -45,8 +45,8 @@ DEFAULT_COUNT_CAP = 10
 # ehrhart counts n dilates: K_7 takes about 0.5 s, K_8 about 3 s
 DEFAULT_DILATE_CAP = 7
 # a hard bound, like MAX_VERTICES, set by the task loop: the stream reaches
-# n = 8 in seconds, but counting its 11 117 classes is estimated at 40 min
-# with --jobs 1
+# n = 8 in seconds, and counting its 11 117 classes takes about 6 min with
+# --jobs 2
 SEARCH_MAX_N = 8
 
 
@@ -466,8 +466,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def glue_negative_ranges(argv: list[str]) -> list[str]:
+    """argv with each value like -2..5 joined to the option before it.
+
+    argparse reads a token that starts with '-' and is not a plain
+    negative number as an option, so `verify --n -2..5` stopped at
+    "expected one argument" before parse_range saw the range.  No option
+    name holds '..', so such a token is always a value: `--n -2..5`
+    becomes `--n=-2..5`, which argparse passes on as it is.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (token.startswith("-") and ".." in token and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(glue_negative_ranges(argv))
     try:
         code = args.run(args)
         # flush here so a closed pipe surfaces below, not at interpreter exit

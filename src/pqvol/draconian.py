@@ -74,6 +74,32 @@ counts per vertex.  enumerate_draconian, the flow test and the
 Ehrhart oracle stay per vertex, so they check the quotient
 independently.
 
+The subset engine lists through the same walk, per vertex, as a
+memoized diagram.  The node of (k, r, state) holds, for each v that
+position k may take, an edge to the node of (k + 1, r - v, the state
+joined with v), and the last two positions close into a leaf: the
+range of v that the first may take, the second taking r - v.  The
+slack filter and the closed pair argue over sets of positions, and a
+vertex is a class of one, so both hold per vertex: a dropped entry can
+never break an inequality, so two states with one memo key have the
+same completions and may share one node; and the leaf's range,
+max(0, r - top_b) to top_a, holds exactly the splits that break
+nothing.  So each path from the root to a leaf, with each v of the
+leaf's range, is one draconian sequence, and each draconian sequence is
+one such path and v.
+
+The flow engine lists by routing each prefix once.  add_unit is
+deterministic: the owners after a unit depend only on the owners before
+it and on its row.  route(c) adds c_0 units of row 0, then c_1 of row 1,
+and so on, so every c with one prefix passes through the same routers
+while that prefix is routed, and the walk routes the prefix once and
+gives each child a copy.  When the v-th unit of row k fails, route(c)
+fails at that unit for every c with that prefix and c_k >= v, and each
+such c fails the flow test; the walk stops raising position k there.
+The last position takes what is left, and c is kept exactly when
+is_draconian_flow(d, c) holds: its units routed and open_rows covers
+every row.
+
 Volumes multiply over blocks.  Let G be G1 and G2 glued at a cut
 vertex v, so n = n1 + n2 - 1.  The polytope P_G is the convex hull of
 P_G1 and P_G2, which meet only in the vertex (e_v, e_v).  Their
@@ -90,13 +116,13 @@ blocks' draconian counts: an isolated vertex (K_1) gives 1, a bridge
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
-from .combinat import weak_compositions
 from .flows import UnitRouter
 from .graphs import BipartiteDouble, Graph, biconnected_blocks, connected_components, doubling
 
@@ -158,58 +184,197 @@ def is_draconian_subset(d: BipartiteDouble, c: Sequence[int]) -> bool:
                for i, v in enumerate(c) if v > 0)
 
 
-def is_draconian_flow(d: BipartiteDouble, c: Sequence[int]) -> bool:
+def is_draconian_flow(d: BipartiteDouble, c: Sequence[int],
+                      routed: UnitRouter | None = None) -> bool:
     """Flow test: for every i, c + e_i must route into distinct right vertices.
 
     c itself is routed first; then one residual search (UnitRouter.open_rows)
-    finds every i for which c + e_i routes.
+    finds every i for which c + e_i routes.  routed, when given, is a
+    router over d.masks that already holds every unit of c, as the flow
+    listing builds it one prefix at a time; only the search is left.
     """
-    _check_sequence(d, c)
-    router = UnitRouter(d.masks, d.n)
-    # a unit of c that fails to route means some S already breaks the
-    # non-strict Hall bound, so c + e_i fails for any i in S
-    return router.route(c) and router.open_rows() == (1 << d.n) - 1
+    if routed is None:
+        _check_sequence(d, c)
+        routed = UnitRouter(d.masks, d.n)
+        # a unit of c that fails to route means some S already breaks the
+        # non-strict Hall bound, so c + e_i fails for any i in S
+        if not routed.route(c):
+            return False
+    return routed.open_rows() == (1 << d.n) - 1
+
+
+def _check_depth(depth: int):
+    """Raise RecursionError now, before its memo fills, when a walk that
+    must recurse depth frames deep cannot fit under Python's recursion
+    limit from the current frame."""
+    spare = sys.getrecursionlimit() - depth
+    try:
+        # succeeds when more than spare frames are already in use
+        sys._getframe(max(spare, 0))
+    except ValueError:
+        return
+    raise RecursionError(f"a walk {depth} frames deep does not fit under the recursion limit")
+
+
+def _connected(masks: Sequence[int]) -> bool:
+    """Is G connected?  masks are D(G)'s left neighborhoods, each holding its own vertex."""
+    reach = frontier = masks[0]
+    while frontier:
+        grown = 0
+        while frontier:
+            bit = frontier & -frontier
+            grown |= masks[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = grown & ~reach
+        reach |= grown
+    return reach == (1 << len(masks)) - 1
 
 
 def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tuple[int, ...]]:
     """All draconian sequences for d, in lexicographic order.
 
-    engine='subset' grows sequences by backtracking and prunes with the
-    subset inequalities as entries are placed.  engine='flow' filters
-    every weak composition through the flow test; it is slower and
-    exists as an independent cross-check.
+    engine='subset' builds a memoized diagram of the subset walk and
+    reads the sequences off it (_subset_listing).  engine='flow' routes
+    each prefix's units once and keeps the compositions whose every row
+    stays open (_flow_listing); it is slower and exists as an
+    independent cross-check.  Both step per vertex, never per twin class.
     """
     if _engine(engine) == "flow":
-        return [c for c in weak_compositions(d.n - 1, d.n) if is_draconian_flow(d, c)]
+        return _flow_listing(d)
+    return _subset_listing(d)
 
+
+def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
+    """The subset engine's listing: build a diagram of the walk, then read it.
+
+    The diagram takes _count_walk's steps per vertex (module docstring):
+    the slack filter on entry, the memo key (position, weight still to
+    place, state), and the last two positions closed without a memo
+    entry.  A node is its edges flattened into one tuple, v0, child0,
+    v1, child1, ... in increasing v, or None when no sequence passes
+    through it; the closed pair's leaf is the range of v that every
+    state entry allows the first of the two, the second taking what is
+    left.  The key holds each state entry packed into one int rather
+    than a tuple, and nodes are flat, so the diagram's peak memory stays
+    below the counting walk's.  The memo is dropped before the diagram is
+    read, so only the nodes that lead to a sequence stay alive while the
+    output is built.  Reading the edges in increasing v gives the
+    sequences in lexicographic order, with no sort.
+    """
     n = d.n
-    caps, tail = _entry_bounds(d.masks)
-    out: list[tuple[int, ...]] = []
-    c = [0] * n
+    masks = d.masks
+    if n == 1:
+        return [(0,)]
+    # a connected G has a sequence, so the walk reaches depth n; a
+    # disconnected one has none and may stop early
+    if _connected(masks):
+        _check_depth(n)
+    last = n - 1
+    caps, tail = _entry_bounds(masks)
+    # a state entry (u, s) has s < n, so u << shift | s packs it into one int
+    shift = n.bit_length()
+    memo: dict[tuple, tuple | None] = {}
 
-    def place(k: int, remaining: int, state: dict[int, int]):
-        if k == n:
-            if remaining == 0:
-                out.append(tuple(c))
-            return
+    def build(k: int, remaining: int, state: dict[int, int]):
+        if k == last - 1:
+            # the last two positions take v and remaining - v: bound v from each entry
+            a, b = masks[k], masks[last]
+            top_a = top_b = remaining
+            for u, s in state.items():
+                if s + remaining >= (u | a | b).bit_count():
+                    return None
+                if (t := (u | a).bit_count() - s - 1) < top_a:
+                    top_a = t
+                if (t := (u | b).bit_count() - s - 1) < top_b:
+                    top_b = t
+            low = remaining - top_b
+            return range(low, top_a + 1) if low <= top_a else None
+        state = {u: s for u, s in state.items() if u.bit_count() - s <= remaining}
+        key = (k, remaining, frozenset([u << shift | s for u, s in state.items()]))
+        if key in memo:
+            return memo[key]
         low = max(0, remaining - tail[k + 1])
         high = min(caps[k], remaining)
+        edges = []
         if low == 0:
-            c[k] = 0
-            place(k + 1, remaining, state)
+            if (child := build(k + 1, remaining, state)) is not None:
+                edges += 0, child
             low = 1
-        m = d.masks[k]
+        m = masks[k]
         for v in range(low, high + 1):
             # if any subset fails at weight v it fails at every larger v
             if (grown := _join(state, v, m)) is None:
                 break
-            c[k] = v
-            place(k + 1, remaining - v, grown)
-        c[k] = 0
+            if (child := build(k + 1, remaining - v, grown)) is not None:
+                edges += v, child
+        node = memo[key] = tuple(edges) or None
+        return node
 
-    place(0, n - 1, {0: 0})
-    # place's closure refers to itself: break the cycle so out is freed without a GC pass
-    del place
+    root = build(0, n - 1, {0: 0})
+    # build's closure refers to itself: break the cycle, and free the memo's keys
+    del build
+    memo.clear()
+    out: list[tuple[int, ...]] = []
+
+    def emit(k: int, node, prefix: tuple[int, ...], remaining: int):
+        if k == last - 1:
+            for v in node:
+                out.append(prefix + (v, remaining - v))
+            return
+        edges = iter(node)
+        for v, child in zip(edges, edges):
+            emit(k + 1, child, prefix + (v,), remaining - v)
+
+    if root is not None:
+        emit(0, root, (), n - 1)
+    del emit
+    return out
+
+
+def _flow_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
+    """The flow engine's listing: is_draconian_flow over every weak
+    composition of n - 1, with each prefix's units routed once.
+
+    The walk places positions in order and v in increasing order, so
+    sequences come out in lexicographic order.  A child copies its
+    parent's router and adds its own row's units one at a time; the
+    first unit that fails to route ends that position's range, since
+    route(c) fails at the same unit for every c with that prefix and a
+    larger entry.  The last position takes what is left, and the
+    sequence goes to is_draconian_flow with its routed router, which
+    keeps it when open_rows covers every row (module docstring).  The
+    walk calls nothing of the subset engine's, so it checks it.
+    """
+    n = d.n
+    last = n - 1
+    out: list[tuple[int, ...]] = []
+    c = [0] * n
+
+    def walk(k: int, remaining: int, router: UnitRouter):
+        if k == last:
+            if remaining:
+                router = router.copy()
+                for _ in range(remaining):
+                    if not router.add_unit(k):
+                        return
+            c[k] = remaining
+            if is_draconian_flow(d, c, router):
+                out.append(tuple(c))
+            return
+        walk(k + 1, remaining, router)
+        if remaining:
+            # units of row k go onto a copy; the parent's router stays as it was
+            child = router.copy()
+            for v in range(1, remaining + 1):
+                if not child.add_unit(k):
+                    break
+                c[k] = v
+                walk(k + 1, remaining - v, child)
+            c[k] = 0
+
+    walk(0, last, UnitRouter(d.masks, n))
+    # walk's closure refers to itself: break the cycle so out is freed without a GC pass
+    del walk
     return out
 
 
@@ -252,6 +417,7 @@ def _count_walk(d: BipartiteDouble) -> int:
                 run += first[v] * second[r - v]
             row.append(run)
         pairs.append(row)
+    _check_depth(len(masks))
     memo: dict[tuple, int] = {}
 
     def walk(k: int, remaining: int, state: dict[int, int]) -> int:

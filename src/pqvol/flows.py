@@ -26,7 +26,18 @@ meets a column known to reach a free one, and a column reaches a free
 one when its owner is open.  Each row turns open once, so each pass
 meets only new columns, and it stops when a pass adds no row.  The
 current routing is maximal for its supply, so this is the max-flow
-test for supply + e_r, for every r at once.
+test for supply + e_r, for every r at once.  It reads each column's
+rows from column_rows, built once per router and shared by its copies.
+
+A unit takes a free column of its row's mask when there is one, and
+only otherwise moves an owner's unit; either way it commits an
+augmenting path, so the routing stays maximal and route's verdict is
+unchanged.  add_unit is deterministic: the owners after a unit depend
+only on the owners before it and on its row.  So a walk over supplies
+that share a prefix can route the prefix once and give each extension
+a copy (UnitRouter.copy): the copy holds exactly the owners that
+route() would hold after the same units, and the first unit of an
+extension that fails is the one at which route() would fail.
 """
 
 from __future__ import annotations
@@ -39,9 +50,22 @@ class UnitRouter:
 
     def __init__(self, row_masks: Sequence[int], columns: int):
         self.masks = tuple(row_masks)
+        # column_rows[j]: the rows whose masks allow column j, read by open_rows
+        self.column_rows = tuple(sum(1 << r for r, m in enumerate(self.masks) if m >> j & 1)
+                                 for j in range(columns))
         # owner[j]: the row whose unit sits on column j, or -1 while j is free
         self.owner = [-1] * columns
+        self.free = (1 << columns) - 1  # the columns with no owner
         self.seen = 0  # the columns the current search has visited
+
+    def copy(self) -> "UnitRouter":
+        """A router with the same units routed, sharing the masks and column_rows."""
+        twin = UnitRouter.__new__(UnitRouter)
+        twin.masks, twin.column_rows = self.masks, self.column_rows
+        twin.owner = self.owner.copy()
+        twin.free = self.free
+        twin.seen = 0
+        return twin
 
     def add_unit(self, row: int) -> bool:
         self.seen = 0
@@ -56,27 +80,46 @@ class UnitRouter:
         return True
 
     def _augment(self, row: int) -> bool:
-        free = self.masks[row] & ~self.seen
-        while free:
+        reach = self.masks[row] & ~self.seen
+        # take a free column when the row has one, before moving any owner's unit
+        if free := reach & self.free:
             bit = free & -free
+            self.free ^= bit
+            self.owner[bit.bit_length() - 1] = row
+            return True
+        while reach:
+            bit = reach & -reach
             self.seen |= bit
             j = bit.bit_length() - 1
-            # take a free column, or move its owner's unit elsewhere
-            if self.owner[j] < 0 or self._augment(self.owner[j]):
+            # every column in reach is owned: move its owner's unit elsewhere
+            if self._augment(self.owner[j]):
                 self.owner[j] = row
                 return True
-            free &= ~self.seen
+            reach &= ~self.seen
         return False
 
     def open_rows(self) -> int:
         """Bitmask of the rows that could take one more unit (module docstring)."""
+        # held[r]: the columns row r owns
+        held = [0] * len(self.masks)
+        for j, o in enumerate(self.owner):
+            if o >= 0:
+                held[o] |= 1 << j
         rows = 0
         # grown: the columns most recently found to reach a free column
-        grown = sum(1 << j for j, o in enumerate(self.owner) if o < 0)
+        grown = self.free
         while grown:
-            fresh = sum(1 << r for r, m in enumerate(self.masks) if m & grown) & ~rows
+            fresh = 0
+            while grown:
+                bit = grown & -grown
+                fresh |= self.column_rows[bit.bit_length() - 1]
+                grown ^= bit
+            fresh &= ~rows
             rows |= fresh
-            grown = sum(1 << j for j, o in enumerate(self.owner) if o >= 0 and fresh >> o & 1)
+            while fresh:
+                bit = fresh & -fresh
+                grown |= held[bit.bit_length() - 1]
+                fresh ^= bit
         return rows
 
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from importlib.resources import files
@@ -459,6 +460,28 @@ def test_verify_m_out_of_range(capsys, family, n, m):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--n", "-2..5"], "error: need n >= 5, got -2\n"),
+    (["--n=-2..5"], "error: need n >= 5, got -2\n"),
+    (["--n", "-2.."], "error: need n >= 5, got -2\n"),
+    (["--n", "6", "--m", "-1..3"], "error: --m -1..3 is outside 3..6 at n = 6\n"),
+    (["--n", "6", "--m", "-1.."], "error: --m -1.. is outside 3..6 at n = 6\n"),
+])
+def test_verify_negative_ranges_reach_parse_range(capsys, argv, want):
+    # argparse takes a token such as -2..5 for an unknown option on some
+    # Python versions; main joins it to the option before it, so the
+    # refusal names the range on every version
+    code, out, err = run(capsys, "verify", "--family", "cycle-deleted", *argv)
+    assert (code, out, err) == (2, "", want)
+
+
+def test_negative_range_from_the_command_line():
+    # main reads sys.argv when it is given no argv
+    proc = subprocess.run([sys.executable, "-m", "pqvol.cli", "verify", "--family",
+                           "cycle-deleted", "--n", "-2..5"], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: need n >= 5, got -2\n")
+
 @pytest.mark.parametrize("family, first", [("cycle-deleted", 5), ("path-deleted", 4),
                                            ("matching-triangles", 2)])
 def test_verify_open_n_range_starts_at_family_minimum(capsys, family, first):
@@ -528,12 +551,12 @@ WHEEL_HUB_LAST = STAR_CENTRE_LAST + "".join(f"{i} {i % 1099 + 1}\n" for i in ran
 ], ids=["recurrence-star", "count-star", "count-list-star", "count-wheel",
         "recurrence-one-edge", "count-list-flow-star", "count-flow-star"])
 def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text, want):
-    # the enumerator and the counting walk recurse once per vertex of what they
+    # the listings and the counting walk recurse once per vertex of what they
     # walk while entries stay in play: every leaf of a star does, and so does
     # every rim vertex of the wheel, the isolated vertices of the one-edge graph
     # do not; counting splits the star into 1099 K_2 blocks, each walked alone.
-    # The flow test recurses once per column it moves a unit through: listing
-    # the star routes 1099 units from the hub
+    # The flow listing walks the star's 1100 positions, and its router
+    # recurses once per column it moves a unit through
     path = tmp_path / "g.txt"
     path.write_text(text)
     code, out, err = run(capsys, *argv, "--graph", str(path))
@@ -543,6 +566,29 @@ def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text,
     elif argv[0] == "count":
         assert json.loads(out)["count"] == str(2 ** 1099)
 
+
+# the same wheel with the hub first: its full mask comes before the rim's
+WHEEL_HUB_FIRST = ("1100\n" + "".join(f"1 {i + 1}\n" for i in range(1, 1100))
+                   + "".join(f"{i + 1} {i % 1099 + 2}\n" for i in range(1, 1100)))
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [["count"], ["count", "--list"]], ids=["count", "list"])
+def test_hub_first_wheel_is_refused_by_depth_before_any_memo_fills(tmp_path, argv):
+    # with the hub first, the zero-weight descent stops about halfway down and
+    # the memoized walks fan out long before they near the recursion limit;
+    # each checks the depth it must reach before it starts, so the command
+    # exits 3 at once instead of filling memory up to the 1 GiB cap
+    path = tmp_path / "g.txt"
+    path.write_text(WHEEL_HUB_FIRST)
+    proc = subprocess.run([sys.executable, "-m", "pqvol.cli", *argv, "--cap-n", "2000",
+                           "--graph", str(path)], env=CHILD_ENV, capture_output=True,
+                          text=True, timeout=60, preexec_fn=limit_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error:") and "recurses" in proc.stderr
 
 PATH_1500 = "1500\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1500))
 COMPONENT_OF_11 = "13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 11)) + "12 13\n"

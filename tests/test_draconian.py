@@ -2,6 +2,7 @@ import copy
 import gc
 import inspect
 import random
+import sys
 import textwrap
 from math import comb
 
@@ -175,6 +176,96 @@ def test_last_position_joins_what_is_left():
         assert draconian._count_walk(d) == want
         wrong += unjoined(d) != want
     assert wrong >= 20
+
+
+def mutant_listing(**changes):
+    """A copy of the subset engine's listing with pieces of its source
+    changed; changes maps each piece, found once, to its replacement."""
+    source = inspect.getsource(draconian._subset_listing)
+    for old, new in changes.values():
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(draconian))
+    exec(textwrap.dedent(source), namespace)
+    return namespace["_subset_listing"]
+
+
+def miscounts(listing, seed, draws):
+    """How many seeded graphs, n <= 7, listing gets the wrong number of sequences for."""
+    rng = random.Random(seed)
+    wrong = 0
+    for _ in range(draws):
+        n = rng.randint(2, 7)
+        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
+        want = draconian._count_walk(d)
+        assert len(draconian._subset_listing(d)) == want
+        wrong += len(listing(d)) != want
+    return wrong
+
+
+def test_listing_diagram_slack_filter_drops_nothing_that_can_break():
+    # the diagram's memo key holds the slack-filtered state: a copy that also
+    # drops the entries whose slack equals the weight still to place merges
+    # states that differ in an entry that can still break, and miscounts
+    early = mutant_listing(keep=("u.bit_count() - s <= remaining", "u.bit_count() - s < remaining"))
+    assert len(enumerate_draconian(doubling(delete_path(5, 3)))) == 54
+    assert len(early(doubling(delete_path(5, 3)))) == 56
+    assert miscounts(early, "listing slack", 200) >= 30
+
+
+def test_listing_diagram_closed_pair_joins_what_is_left():
+    # the diagram's leaf bounds both closing positions from every state entry:
+    # a copy that bounds the last one by its cap alone miscounts
+    unjoined = mutant_listing(both=("if s + remaining >= (u | a | b).bit_count():", "if False:"),
+                              alone=("(u | b).bit_count() - s - 1", "caps[last]"))
+    assert enumerate_draconian(doubling(complete_graph(2))) == [(0, 1), (1, 0)]
+    assert miscounts(unjoined, "listing pair", 100) >= 20
+
+
+def flow_filter(d):
+    """The reference listing: the flow test on every weak composition, in order."""
+    return [c for c in weak_compositions(d.n - 1, d.n) if is_draconian_flow(d, c)]
+
+
+def test_listings_match_the_per_composition_filter():
+    rng = random.Random("listings")
+    sizes, empty = set(), 0
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))))
+        want = flow_filter(d)
+        for engine in ENGINES:
+            assert enumerate_draconian(d, engine) == want, (d, engine)
+        sizes.add(n)
+        empty += not want
+    assert sizes == set(range(1, 8)) and empty >= 5
+
+
+def test_flow_listing_calls_nothing_of_the_subset_walk():
+    # the flow engine checks the subset engine: it must not share its steps
+    source = inspect.getsource(draconian._flow_listing)
+    for name in ("_join", "_entry_bounds", "state", "_subset_listing", "_count_walk"):
+        assert name not in source, name
+
+
+def test_memoized_walks_too_deep_for_the_stack_refuse_before_a_step(monkeypatch):
+    # C_60 has 60 classes and is connected: under a limit 40 frames above
+    # this one, neither memoized walk fits, and neither may take a step
+    cycle = doubling(Graph.from_edges(60, [(v, v % 60 + 1) for v in range(1, 61)]))
+
+    def no_step(*args):
+        raise AssertionError("a walk took a step before it checked its depth")
+
+    monkeypatch.setattr(draconian, "_join", no_step)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        with pytest.raises(RecursionError):
+            draconian._count_walk(cycle)
+        with pytest.raises(RecursionError):
+            enumerate_draconian(cycle)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def blow_up(base_n, base_edges, sizes):
@@ -371,6 +462,7 @@ def test_enumeration_result_is_freed_without_a_gc_pass():
     gc.disable()
     try:
         enumerate_draconian(d)
+        enumerate_draconian(d, "flow")
         draconian._count_walk(d)
         assert gc.collect() == 0
     finally:

@@ -187,3 +187,31 @@ def test_negative_supply_is_refused_before_any_routing():
     # row 0 already fails to route its second unit into the one column
     with pytest.raises(ValueError, match="negative supply -1 at row 1"):
         route_units([0b1, 0b1], [2, -1], [1])
+
+
+def test_a_copy_routes_on_as_route_would():
+    # the flow listing routes a shared prefix once and extends copies of it
+    rng = random.Random("copies")
+    extended = failed = 0
+    for _ in range(500):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        masks = [rng.randrange(1 << cols) for _ in range(rows)]
+        supply = [rng.randint(0, 2) for _ in range(rows)]
+        cut = rng.randint(0, rows)
+        prefix = UnitRouter(masks, cols)
+        if not prefix.route(supply[:cut]):
+            continue
+        before = list(prefix.owner)
+        child = prefix.copy()
+        assert child.masks is prefix.masks and child.column_rows is prefix.column_rows
+        ok = all(child.add_unit(row) for row, amount in enumerate(supply) if row >= cut
+                 for _ in range(amount))
+        whole = UnitRouter(masks, cols)
+        assert ok == whole.route(supply), (masks, supply, cut)
+        assert prefix.owner == before
+        if ok:
+            assert child.owner == whole.owner and child.open_rows() == whole.open_rows()
+            extended += 1
+        else:
+            failed += 1
+    assert extended >= 100 and failed >= 50
