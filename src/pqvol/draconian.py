@@ -26,29 +26,56 @@ join both, so the heavier one breaks an inequality whenever the lighter
 one does.  For K_n the state has at most two entries.
 
 Counts are taken without listing.  The counting walk places entries
-in the enumerator's order and, on reaching position k with weight r
-still to place, drops every state entry whose slack |union| - weight
-exceeds r.  Later joins add at most r to that entry's weight and never
-shrink its union, so neither it nor any subset grown from it can break
-an inequality; dropping it changes no outcome.  An entry whose slack
-equals r can still break, when all r units join it.  States that differ
-only in dropped entries then share one memo key (k, r, state).
+in the enumerator's order, and the state it hands to position k, with
+weight r still to place, holds no entry whose slack |union| - weight
+exceeds r.  Later joins add at most r to such an entry's weight and
+never shrink its union, so neither it nor any subset grown from it can
+break an inequality; dropping it changes no outcome.  An entry whose
+slack equals r can still break, when all r units join it.  States that
+differ only in dropped entries then share one memo key (k, r, state).
 
-The walk closes its last two positions a and b, with masks A and B,
-without recursing or making a memo entry.  They take v and r - v.  The
-inequalities still open are those of a placed subset joined with a, b
-or both, and the state keeps the heaviest placed subset per union.
-Write uA for the union of u and A.  The open inequalities are then, for
-each entry (u, s), the empty set (0, 0) among them:
-s + v < |uA|, s + r - v < |uB| and s + r < |uAB|.  At v = 0 the walk
-joins no weight for a, but the first inequality holds anyway (every
-entry has s < |u|), and the third follows from the second; likewise
-at v = r.  So the pair counts nothing when some entry has
-s + r >= |uAB|, and otherwise every v from max(0, r - top_b) to
+Each child state is grown once.  Position k with mask m joins v to every
+entry (u, s), giving (u | m, s + v), and keeps the entries it does not
+join.  The joined unions u | m do not depend on v, so the walk reads
+them once per node, and with them the join bound J, the least
+|u | m| - s: v breaks a joined subset exactly when v >= J, and every v
+below J breaks none.  The child of v is filtered for r - v.  A joined
+entry has slack |u | m| - s - v, which is at most r - v exactly when
+|u | m| - s <= r, whatever v is; a kept entry stays while its slack is
+at most r - v.  The child of v = 0 joins nothing, has weight r still to
+place, and is the parent's state as it stands.
+
+The walk closes its last three classes c, a and b, with masks M, A and
+B, at one memoized node, with no join, no child state and no recursion.
+They take v, x and r - v - x.  The inequalities still open are those of
+a placed subset joined with a nonempty set of the three, and the state
+keeps the heaviest placed subset per union.  Write uA for the union of u
+and A.  For each entry (u, s), the empty set (0, 0) among them, there are
+seven, one per nonempty set of the three classes:
+    unjoined with c:  s + x < |uA|,  s + r - v - x < |uB|,
+                      s + r - v < |uAB|;
+    joined with c:    s + v < |uM|,  s + v + x < |uMA|,
+                      s + r - x < |uMB|,  s + r < |uMAB|.
+A set with a class of weight 0 needs no check: its inequality follows
+from the one without that class, which has the same weight and a union
+no larger (and every entry has s < |u|).  So at v = 0 only the three
+unjoined inequalities apply, and they are the closed pair of a and b on
+the state as it stands: it counts nothing when some entry has
+s + r >= |uAB|, and otherwise every x from max(0, r - top_b) to
 min(top_a, r), where top_a is the least |uA| - s - 1 over the entries
-(the empty set gives a's cap) and top_b is b's.  With one class every
-mask holds its own right vertex and so all n of them: G is complete and
-the class takes any split of n - 1.
+(the empty set gives a's cap) and top_b is b's.  For v >= 1 all seven
+apply.  s + r - v < |uAB| sets a least v.  s + v < |uM| is v < J.
+s + r < |uMAB| weighs all three classes together, whatever the split,
+so it does not depend on v: when one entry breaks it, every v >= 1
+does.  The other four bound x for each v: x <= |uA| - s - 1 and
+x <= |uMA| - s - 1 - v from above, x >= r - v - (|uB| - s - 1) and
+x >= r - (|uMB| - s - 1) from below, the last again free of v.  Each v
+then adds its class weight times the pair's weights over that range of
+x, a difference of two running sums.  With one class every mask holds
+its own right vertex and so all n of them: G is complete and the class
+takes any split of n - 1.  With two, the masks together hold all n, so
+s + r < |AB| holds for the empty state and the pair takes every split
+that both caps allow.
 
 The walk steps over twin classes, not vertices.  Left vertices with one
 mask are true twins of G, with one closed neighborhood; group [n] into
@@ -77,16 +104,17 @@ independently.
 The subset engine lists through the same walk, per vertex, as a
 memoized diagram.  The node of (k, r, state) holds, for each v that
 position k may take, an edge to the node of (k + 1, r - v, the state
-joined with v), and the last two positions close into a leaf: the
-range of v that the first may take, the second taking r - v.  The
-slack filter and the closed pair argue over sets of positions, and a
-vertex is a class of one, so both hold per vertex: a dropped entry can
-never break an inequality, so two states with one memo key have the
-same completions and may share one node; and the leaf's range,
-max(0, r - top_b) to top_a, holds exactly the splits that break
-nothing.  So each path from the root to a leaf, with each v of the
-leaf's range, is one draconian sequence, and each draconian sequence is
-one such path and v.
+joined with v), grown by the counting walk's step, and the last two
+positions close into a leaf: the range of v that the first may take,
+the second taking r - v.  The slack filter and the closed pair argue
+over sets of positions, and a vertex is a class of one, so both hold
+per vertex: a dropped entry can never break an inequality, so two
+states with one memo key have the same completions and may share one
+node; and the leaf's range, max(0, r - top_b) to top_a, holds exactly
+the splits that break nothing (the pair is the three-class closure's
+v = 0 term, and its proof takes no third class).  So each path from the
+root to a leaf, with each v of the leaf's range, is one draconian
+sequence, and each draconian sequence is one such path and v.
 
 The flow engine lists by routing each prefix once.  add_unit is
 deterministic: the owners after a unit depend only on the owners before
@@ -136,23 +164,45 @@ def _check_sequence(d: BipartiteDouble, c: Sequence[int]):
         raise ValueError(f"sequence {tuple(c)} has a negative entry")
 
 
-def _join(state: dict[int, int], v: int, m: int) -> dict[int, int] | None:
-    """Join an entry of weight v and neighborhood mask m to every subset in state.
+def _join(state: dict[int, int], m: int, remaining: int, low: int, high: int):
+    """Yield (v, child) for each weight v from low to high that a position
+    of neighborhood mask m may take, in increasing v.
 
     state maps each neighborhood union to the largest weight of a subset
     with that union ({0: 0} is the empty set alone; why that is exact is
-    in the module docstring).  Returns the grown state, or None at the
-    first joined subset whose weight is not below its union size.
+    in the module docstring), already slack-filtered for remaining, the
+    weight still to place from this position on.  child is the state
+    after the position takes v, slack-filtered for remaining - v.  The
+    joined unions u | m and the join bound J, the least |u | m| - s, are
+    read once: v breaks a joined subset exactly when v >= J, so the
+    walk stops there.  A joined entry keeps weight s + v and slack
+    |u | m| - s - v, which passes the filter for remaining - v exactly
+    when |u | m| - s <= remaining, whatever v is; an entry of state
+    passes it while its own slack is at most remaining - v.  The v = 0
+    child is state itself, joined with nothing and filtered already.
     """
-    out = dict(state)
+    if low == 0:
+        yield 0, state
+        low = 1
+    bound = high + 1
+    grown: dict[int, int] = {}
     for u, s in state.items():
-        s += v
         u |= m
-        if s >= u.bit_count():
-            return None
-        if out.get(u, -1) < s:
-            out[u] = s
-    return out
+        if (t := u.bit_count() - s) < bound:
+            bound = t
+        if t <= remaining and grown.get(u, -1) < s:
+            grown[u] = s
+    if low >= bound:
+        return
+    kept = [(u, s, u.bit_count() - s) for u, s in state.items()]
+    for v in range(low, bound):
+        rest = remaining - v
+        child = {u: s for u, s, t in kept if t <= rest}
+        for u, s in grown.items():
+            s += v
+            if child.get(u, -1) < s:
+                child[u] = s
+        yield v, child
 
 
 def _entry_bounds(masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -180,8 +230,15 @@ def is_draconian_subset(d: BipartiteDouble, c: Sequence[int]) -> bool:
     equivalent to the definition (module docstring)."""
     _check_sequence(d, c)
     state = {0: 0}
-    return all((state := _join(state, v, d.masks[i])) is not None
-               for i, v in enumerate(c) if v > 0)
+    remaining = sum(c)
+    for i, v in enumerate(c):
+        if v > 0:
+            # the one child of weight v, or none when v breaks a joined subset
+            if (step := next(_join(state, d.masks[i], remaining, v, v), None)) is None:
+                return False
+            state = step[1]
+            remaining -= v
+    return True
 
 
 def is_draconian_flow(d: BipartiteDouble, c: Sequence[int],
@@ -247,14 +304,14 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
 def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
     """The subset engine's listing: build a diagram of the walk, then read it.
 
-    The diagram takes _count_walk's steps per vertex (module docstring):
-    the slack filter on entry, the memo key (position, weight still to
-    place, state), and the last two positions closed without a memo
-    entry.  A node is its edges flattened into one tuple, v0, child0,
-    v1, child1, ... in increasing v, or None when no sequence passes
-    through it; the closed pair's leaf is the range of v that every
-    state entry allows the first of the two, the second taking what is
-    left.  The key holds each state entry packed into one int rather
+    The diagram takes _count_walk's step, _join, per vertex (module
+    docstring): each child grown once and slack-filtered, the memo key
+    (position, weight still to place, state), and the last two
+    positions closed without a memo entry.  A node is its edges
+    flattened into one tuple, v0, child0, v1, child1, ... in increasing
+    v, or None when no sequence passes through it; the closed pair's
+    leaf is the range of v that every state entry allows the first of
+    the two, the second taking what is left.  The key holds each state entry packed into one int rather
     than a tuple, and nodes are flat, so the diagram's peak memory stays
     below the counting walk's.  The memo is dropped before the diagram is
     read, so only the nodes that lead to a sequence stay alive while the
@@ -289,22 +346,12 @@ def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
                     top_b = t
             low = remaining - top_b
             return range(low, top_a + 1) if low <= top_a else None
-        state = {u: s for u, s in state.items() if u.bit_count() - s <= remaining}
         key = (k, remaining, frozenset([u << shift | s for u, s in state.items()]))
         if key in memo:
             return memo[key]
-        low = max(0, remaining - tail[k + 1])
-        high = min(caps[k], remaining)
         edges = []
-        if low == 0:
-            if (child := build(k + 1, remaining, state)) is not None:
-                edges += 0, child
-            low = 1
-        m = masks[k]
-        for v in range(low, high + 1):
-            # if any subset fails at weight v it fails at every larger v
-            if (grown := _join(state, v, m)) is None:
-                break
+        for v, grown in _join(state, masks[k], remaining,
+                              max(0, remaining - tail[k + 1]), min(caps[k], remaining)):
             if (child := build(k + 1, remaining - v, grown)) is not None:
                 edges += v, child
         node = memo[key] = tuple(edges) or None
@@ -387,15 +434,19 @@ def _count_walk(d: BipartiteDouble) -> int:
     a class of t vertices that takes weight v stands for the
     C(v + t - 1, t - 1) ways to split v among its members, so it
     multiplies its subtree's count by that.  The count is memoized on
-    (position, weight still to place, state).  On entry the walk drops
-    each state entry whose slack |union| - weight exceeds the weight
-    still to place: that entry can never break (module docstring).
-    The last two positions are closed without recursing: each entry
-    bounds what the first may take and what the second may take, or
-    rules the pair out, and the pair counts the product of the two
-    classes' weights over the v that both bounds allow, read off a
-    table of running sums.  The pair reads each entry once, so it skips
-    the slack filter, which changes no outcome, and makes no memo entry.
+    (position, weight still to place, state).  Each node grows its
+    children with _join, which reads the joined unions and the join
+    bound once and hands each child its state already filtered of the
+    entries whose slack |union| - weight exceeds the weight the child
+    still has to place: such an entry can never break (module
+    docstring).  The node of the third-last class closes the last three
+    in closed form: each entry bounds the third-last class's v from
+    below and above, or rules out every v >= 1, and bounds the split x
+    of the last two for each v; the node sums, over v, the class's weight
+    times the last two classes' weights over the allowed x, read off a
+    table of running sums.  It keeps its memo entry, since twin-heavy
+    graphs reach one (weight, state) there many times.  A block of one
+    or two classes is counted from the weights alone.
     """
     classes = Counter(d.masks)  # mask -> class size, in order of first occurrence
     masks = list(classes)
@@ -407,52 +458,76 @@ def _count_walk(d: BipartiteDouble) -> int:
     if last == 0:
         # one class: every mask is full, so every split of n - 1 is draconian
         return weights[0][d.n - 1]
-    # pairs[r][v]: the ways the last two classes take some v' <= v and r - v'
+    # pairs[r][x]: the ways the last two classes take some x' <= x and r - x'
     first, second = weights[last - 1], weights[last]
     pairs = []
     for r in range(min(tail[last - 1], d.n - 1) + 1):
         run, row = 0, []
-        for v in range(min(caps[last - 1], r) + 1):
-            if r - v <= caps[last]:
-                run += first[v] * second[r - v]
+        for x in range(min(caps[last - 1], r) + 1):
+            if r - x <= caps[last]:
+                run += first[x] * second[r - x]
             row.append(run)
         pairs.append(row)
+    if last == 1:
+        # two classes: every split that both caps allow (their masks cover [n])
+        return pairs[-1][-1] if tail[0] >= d.n - 1 else 0
     _check_depth(len(masks))
+    a, b = masks[last - 1], masks[last]
+    ab = a | b
     memo: dict[tuple, int] = {}
 
     def walk(k: int, remaining: int, state: dict[int, int]) -> int:
-        if k == last - 1:
-            # the last two classes take v and remaining - v: bound v from each entry
-            a, b = masks[k], masks[last]
-            top_a = top_b = remaining
-            for u, s in state.items():
-                if s + remaining >= (u | a | b).bit_count():
-                    return 0
-                if (t := (u | a).bit_count() - s - 1) < top_a:
-                    top_a = t
-                if (t := (u | b).bit_count() - s - 1) < top_b:
-                    top_b = t
-            low = remaining - top_b
-            if low > top_a:
-                return 0
-            row = pairs[remaining]
-            return row[top_a] - row[low - 1] if low > 0 else row[top_a]
-        state = {u: s for u, s in state.items() if u.bit_count() - s <= remaining}
         key = (k, remaining, frozenset(state.items()))
         if key in memo:
             return memo[key]
-        low = max(0, remaining - tail[k + 1])
-        high = min(caps[k], remaining)
-        count = 0
-        if low == 0:
-            count = walk(k + 1, remaining, state)
-            low = 1
-        m = masks[k]
         ways = weights[k]
-        for v in range(low, high + 1):
-            if (grown := _join(state, v, m)) is None:
-                break
-            count += ways[v] * walk(k + 1, remaining - v, grown)
+        count = 0
+        if k < last - 2:
+            for v, child in _join(state, masks[k], remaining,
+                                  max(0, remaining - tail[k + 1]), min(caps[k], remaining)):
+                count += ways[v] * walk(k + 1, remaining - v, child)
+            memo[key] = count
+            return count
+        # the last three classes take v, x and remaining - v - x: bound each
+        # from every entry, unjoined (a0, b0) and joined with this class (a1, b1)
+        m = masks[k]
+        low, join = 0, remaining + 1
+        top_a0 = top_b0 = top_a1 = top_b1 = remaining
+        for u, s in state.items():
+            # s + remaining - v < |uAB| sets a least v
+            if (t := s + remaining + 1 - (u | ab).bit_count()) > low:
+                low = t
+            if (t := (u | a).bit_count() - s - 1) < top_a0:
+                top_a0 = t
+            if (t := (u | b).bit_count() - s - 1) < top_b0:
+                top_b0 = t
+            u |= m
+            # v < J, the least |uM| - s, which is at least 1
+            if (t := u.bit_count() - s) < join:
+                join = t
+            # s + remaining < |uMAB| for any v: if it fails, no v >= 1 passes
+            if s + remaining >= (u | ab).bit_count():
+                join = 1
+            if (t := (u | a).bit_count() - s - 1) < top_a1:
+                top_a1 = t
+            if (t := (u | b).bit_count() - s - 1) < top_b1:
+                top_b1 = t
+        if low == 0:
+            # v = 0 joins nothing: the closed pair on the state as it stands
+            lo, hi = max(0, remaining - top_b0), top_a0
+            if lo <= hi:
+                row = pairs[remaining]
+                count = row[hi] - row[lo - 1] if lo else row[hi]
+            low = 1
+        # x >= remaining - top_b1 whatever v is, and top_a1 - v <= remaining - v
+        floor = max(0, remaining - top_b1)
+        for v in range(low, join):
+            rest = remaining - v
+            lo = rest - top_b0 if rest - top_b0 > floor else floor
+            hi = top_a1 - v if top_a1 - v < top_a0 else top_a0
+            if lo <= hi:
+                row = pairs[rest]
+                count += ways[v] * (row[hi] - row[lo - 1] if lo else row[hi])
         memo[key] = count
         return count
 

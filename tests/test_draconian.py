@@ -4,6 +4,7 @@ import inspect
 import random
 import sys
 import textwrap
+from collections import Counter
 from math import comb
 
 import pytest
@@ -131,95 +132,224 @@ def test_every_counting_path_matches_the_oracle(monkeypatch, p):
             assert is_draconian_subset(d, c) == (c in members), (g.descriptor(), c)
 
 
+def reference_join(state, v, m):
+    """The plain subset kernel: join weight v and mask m to every entry of
+    state, one v at a time, or None when a joined entry breaks."""
+    out = dict(state)
+    for u, s in state.items():
+        s += v
+        u |= m
+        if s >= u.bit_count():
+            return None
+        if out.get(u, -1) < s:
+            out[u] = s
+    return out
+
+
+def reference_walk(d):
+    """A reference counting walk over twin classes: it joins each v on its
+    own, filters each state on entry and closes only the last two classes.
+    _count_walk, which grows each child once and closes the last three,
+    must count exactly as it does."""
+    classes = Counter(d.masks)
+    masks = list(classes)
+    last = len(masks) - 1
+    caps = [m.bit_count() - 1 for m in masks]
+    tail = [sum(caps[k:]) for k in range(len(masks) + 1)]
+    weights = [[comb(v + t - 1, t - 1) for v in range(cap + 1)]
+               for cap, t in zip(caps, classes.values())]
+    if last == 0:
+        return weights[0][d.n - 1]
+    pairs = []
+    for r in range(min(tail[last - 1], d.n - 1) + 1):
+        run, row = 0, []
+        for v in range(min(caps[last - 1], r) + 1):
+            if r - v <= caps[last]:
+                run += weights[last - 1][v] * weights[last][r - v]
+            row.append(run)
+        pairs.append(row)
+    memo = {}
+
+    def walk(k, remaining, state):
+        if k == last - 1:
+            a, b = masks[k], masks[last]
+            top_a = top_b = remaining
+            for u, s in state.items():
+                if s + remaining >= (u | a | b).bit_count():
+                    return 0
+                top_a = min(top_a, (u | a).bit_count() - s - 1)
+                top_b = min(top_b, (u | b).bit_count() - s - 1)
+            low = remaining - top_b
+            if low > top_a:
+                return 0
+            row = pairs[remaining]
+            return row[top_a] - row[low - 1] if low > 0 else row[top_a]
+        state = {u: s for u, s in state.items() if u.bit_count() - s <= remaining}
+        key = (k, remaining, frozenset(state.items()))
+        if key not in memo:
+            count = 0
+            for v in range(max(0, remaining - tail[k + 1]), min(caps[k], remaining) + 1):
+                if v == 0:
+                    count += walk(k + 1, remaining, state)
+                elif (grown := reference_join(state, v, masks[k])) is None:
+                    break
+                else:
+                    count += weights[k][v] * walk(k + 1, remaining - v, grown)
+            memo[key] = count
+        return memo[key]
+
+    count = walk(0, d.n - 1, {0: 0})
+    del walk
+    return count
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def path(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+
+
+def seeded_doubles(seed, draws, n_max=7):
+    """Doublings of seeded random graphs on 2..n_max vertices, sparse to dense."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        n = rng.randint(2, n_max)
+        yield doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
+
+
+def mutant(name, **changes):
+    """A copy of draconian's function name with pieces of its source, or of
+    the source of _join, the step it takes, changed; changes maps each
+    piece, found once in one of the two, to its replacement."""
+    sources = {f: inspect.getsource(getattr(draconian, f)) for f in ("_join", name)}
+    for old, new in changes.values():
+        holders = [f for f, source in sources.items() if old in source]
+        assert len(holders) == 1 and sources[holders[0]].count(old) == 1, old
+        sources[holders[0]] = sources[holders[0]].replace(old, new)
+    namespace = dict(vars(draconian))
+    for source in sources.values():
+        exec(textwrap.dedent(source), namespace)
+    return namespace[name]
+
+
+def miscounts(count, seed, draws):
+    """How many seeded graphs, n <= 7, count gets wrong; the walk and the
+    listing must get each one right."""
+    wrong = 0
+    for d in seeded_doubles(seed, draws):
+        want = reference_walk(d)
+        assert draconian._count_walk(d) == want
+        assert len(draconian._subset_listing(d)) == want
+        wrong += count(d) != want
+    return wrong
+
+
+def test_walk_counts_as_the_reference_walk():
+    graphs = list(seeded_doubles("reference", 120, n_max=9))
+    graphs += [doubling(g) for g, _ in twin_blow_ups(random.Random("reference twins"), 30)]
+    graphs += [doubling(complete_graph(n)) for n in range(1, 13)]
+    graphs += [doubling(cycle(n)) for n in range(3, 14)]
+    graphs += [doubling(delete(n, m)) for n in range(5, 31) for m in range(3, min(n, 7))
+               for delete in (delete_cycle, delete_path)]
+    for d in graphs:
+        assert draconian._count_walk(d) == reference_walk(d), d
+
+
+# The prunes and bounds below must each matter: a copy of the walk or of the
+# listing with one of them dropped or loosened miscounts seeded graphs.
+
+# a joined entry and an entry of the state each stay while their slack is at
+# most the weight left after this position
+PRUNE_SLACK_EQUAL = dict(grown=("t <= remaining and", "t < remaining and"),
+                         kept=("if t <= rest}", "if t < rest}"))
+
+
 def test_slack_prune_drops_nothing_that_can_break():
     # an entry whose slack equals the weight still to place breaks when all of
     # it joins the entry: a copy of the walk that prunes it as well miscounts
-    source = inspect.getsource(draconian._count_walk)
-    keep = "u.bit_count() - s <= remaining"
-    assert source.count(keep) == 1
-    namespace = dict(vars(draconian))
-    exec(textwrap.dedent(source.replace(keep, "u.bit_count() - s < remaining")), namespace)
-    early = namespace["_count_walk"]
+    early = mutant("_count_walk", **PRUNE_SLACK_EQUAL)
     assert draconian._count_walk(doubling(delete_path(5, 3))) == 54
     assert early(doubling(delete_path(5, 3))) == 56
-    rng = random.Random("slack")
-    wrong = 0
-    for _ in range(200):
-        n = rng.randint(2, 7)
-        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
-        want = len(enumerate_draconian(d))
-        assert draconian._count_walk(d) == want
-        wrong += early(d) != want
-    assert wrong >= 30
+    assert miscounts(early, "slack", 200) >= 30
 
 
 def test_last_position_joins_what_is_left():
-    # the last class takes all the weight the one before it leaves, and that
-    # can break an inequality: a copy of the walk's closing pair that bounds
-    # the last class by its cap alone, with no entry joined to it, miscounts
-    source = inspect.getsource(draconian._count_walk)
-    both = "if s + remaining >= (u | a | b).bit_count():"
-    alone = "(u | b).bit_count() - s - 1"
-    assert source.count(both) == 1 and source.count(alone) == 1
-    source = source.replace(both, "if False:").replace(alone, "caps[last]")
-    namespace = dict(vars(draconian))
-    exec(textwrap.dedent(source), namespace)
-    unjoined = namespace["_count_walk"]
+    # the last class takes all the weight the two before it leave, and that
+    # can break an inequality: a copy of the walk's closing classes that
+    # bounds the last class by its cap alone, with no entry joined to it and
+    # no full union checked, miscounts
+    unjoined = mutant(
+        "_count_walk",
+        low=("if (t := s + remaining + 1 - (u | ab).bit_count()) > low:", "if False:"),
+        whole=("if s + remaining >= (u | ab).bit_count():", "if False:"),
+        b0=("(t := (u | b).bit_count() - s - 1) < top_b0", "(t := caps[last]) < top_b0"),
+        b1=("(t := (u | b).bit_count() - s - 1) < top_b1", "(t := caps[last]) < top_b1"))
     assert draconian._count_walk(doubling(complete_graph(1))) == 1
     assert draconian._count_walk(doubling(complete_graph(2))) == 2
-    rng = random.Random("last")
-    wrong = 0
-    for _ in range(100):
-        n = rng.randint(2, 7)
-        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
-        want = len(enumerate_draconian(d))
-        assert draconian._count_walk(d) == want
-        wrong += unjoined(d) != want
-    assert wrong >= 20
+    assert miscounts(unjoined, "last", 100) >= 20
 
 
-def mutant_listing(**changes):
-    """A copy of the subset engine's listing with pieces of its source
-    changed; changes maps each piece, found once, to its replacement."""
-    source = inspect.getsource(draconian._subset_listing)
-    for old, new in changes.values():
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
-    namespace = dict(vars(draconian))
-    exec(textwrap.dedent(source), namespace)
-    return namespace["_subset_listing"]
+# the rules of the closed last three classes: the third-last takes v (mask M),
+# the last two x and r - v - x (masks A and B), for each entry (u, s)
+CLOSED_RULES = {
+    # unjoined, s + r - v < |uAB|: a least v
+    "least v": ("if (t := s + remaining + 1 - (u | ab).bit_count()) > low:", "if False:"),
+    # joined, s + r < |uMAB|, which rules out every v >= 1
+    "joined full union": ("if s + remaining >= (u | ab).bit_count():", "if False:"),
+    # joined, s + v < |uM|, the join bound J; the copy bounds v by M's cap alone
+    "join bound": ("(t := u.bit_count() - s) < join", "(t := caps[k] + 1) < join"),
+    # joined, s + v + x < |uMA|
+    "joined A": ("if (t := (u | a).bit_count() - s - 1) < top_a1:", "if False:"),
+    # joined, s + r - x < |uMB|
+    "joined B": ("if (t := (u | b).bit_count() - s - 1) < top_b1:", "if False:"),
+}
 
 
-def miscounts(listing, seed, draws):
-    """How many seeded graphs, n <= 7, listing gets the wrong number of sequences for."""
-    rng = random.Random(seed)
-    wrong = 0
-    for _ in range(draws):
-        n = rng.randint(2, 7)
-        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.4, 0.7, 0.9)))))
-        want = draconian._count_walk(d)
-        assert len(draconian._subset_listing(d)) == want
-        wrong += len(listing(d)) != want
-    return wrong
+@pytest.mark.parametrize("rule, least", [("least v", 25), ("joined full union", 12),
+                                         ("join bound", 14), ("joined A", 17), ("joined B", 19)])
+def test_each_rule_of_the_closed_classes_matters(rule, least):
+    dropped = mutant("_count_walk", rule=CLOSED_RULES[rule])
+    assert miscounts(dropped, f"closed {rule}", 200) >= least
+
+
+def test_closed_classes_bite_on_paths_and_cycles():
+    # P_n counts 2^(n - 1) and C_n counts n 2^(n - 2)
+    unbounded = mutant("_count_walk", rule=CLOSED_RULES["least v"])
+    assert [draconian._count_walk(doubling(g)) for g in (path(4), cycle(5))] == [8, 40]
+    assert [unbounded(doubling(g)) for g in (path(4), cycle(5))] == [9, 41]
+    assert draconian._count_walk(doubling(path(5))) == 16
+    assert mutant("_count_walk", rule=CLOSED_RULES["joined full union"])(doubling(path(5))) == 17
+
+
+def test_the_join_bound_of_the_step_matters():
+    # every position above the closed classes stops at v = J, in the walk and
+    # in the listing: copies that never stop there miscount
+    piece = ("(t := u.bit_count() - s) < bound", "(t := u.bit_count() - s) < 0")
+    assert miscounts(mutant("_count_walk", bound=piece), "step bound", 200) >= 15
+    unbounded = mutant("_subset_listing", bound=piece)
+    assert miscounts(lambda d: len(unbounded(d)), "listing step bound", 100) >= 15
 
 
 def test_listing_diagram_slack_filter_drops_nothing_that_can_break():
     # the diagram's memo key holds the slack-filtered state: a copy that also
     # drops the entries whose slack equals the weight still to place merges
     # states that differ in an entry that can still break, and miscounts
-    early = mutant_listing(keep=("u.bit_count() - s <= remaining", "u.bit_count() - s < remaining"))
+    early = mutant("_subset_listing", **PRUNE_SLACK_EQUAL)
     assert len(enumerate_draconian(doubling(delete_path(5, 3)))) == 54
     assert len(early(doubling(delete_path(5, 3)))) == 56
-    assert miscounts(early, "listing slack", 200) >= 30
+    assert miscounts(lambda d: len(early(d)), "listing slack", 200) >= 30
 
 
 def test_listing_diagram_closed_pair_joins_what_is_left():
     # the diagram's leaf bounds both closing positions from every state entry:
     # a copy that bounds the last one by its cap alone miscounts
-    unjoined = mutant_listing(both=("if s + remaining >= (u | a | b).bit_count():", "if False:"),
-                              alone=("(u | b).bit_count() - s - 1", "caps[last]"))
+    unjoined = mutant("_subset_listing",
+                      both=("if s + remaining >= (u | a | b).bit_count():", "if False:"),
+                      alone=("(u | b).bit_count() - s - 1", "caps[last]"))
     assert enumerate_draconian(doubling(complete_graph(2))) == [(0, 1), (1, 0)]
-    assert miscounts(unjoined, "listing pair", 100) >= 20
+    assert miscounts(lambda d: len(unjoined(d)), "listing pair", 100) >= 20
 
 
 def flow_filter(d):
