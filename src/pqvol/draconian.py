@@ -45,37 +45,39 @@ entry has slack |u | m| - s - v, which is at most r - v exactly when
 at most r - v.  The child of v = 0 joins nothing, has weight r still to
 place, and is the parent's state as it stands.
 
-The walk closes its last three classes c, a and b, with masks M, A and
-B, at one memoized node, with no join, no child state and no recursion.
-They take v, x and r - v - x.  The inequalities still open are those of
-a placed subset joined with a nonempty set of the three, and the state
-keeps the heaviest placed subset per union.  Write uA for the union of u
-and A.  For each entry (u, s), the empty set (0, 0) among them, there are
-seven, one per nonempty set of the three classes:
+Both subset walks close their last three positions c, a and b, with
+masks M, A and B, in one function, _close, with no join, no child state
+and no recursion.  They take v, x and r - v - x.  The inequalities still
+open are those of a placed subset joined with a nonempty set of the
+three, and the state keeps the heaviest placed subset per union.  Write
+uA for the union of u and A.  For each entry (u, s), the empty set
+(0, 0) among them, there are seven, one per nonempty set of the three:
     unjoined with c:  s + x < |uA|,  s + r - v - x < |uB|,
                       s + r - v < |uAB|;
     joined with c:    s + v < |uM|,  s + v + x < |uMA|,
                       s + r - x < |uMB|,  s + r < |uMAB|.
-A set with a class of weight 0 needs no check: its inequality follows
-from the one without that class, which has the same weight and a union
-no larger (and every entry has s < |u|).  So at v = 0 only the three
-unjoined inequalities apply, and they are the closed pair of a and b on
-the state as it stands: it counts nothing when some entry has
-s + r >= |uAB|, and otherwise every x from max(0, r - top_b) to
+A set with a position of weight 0 needs no check: its inequality follows
+from the one without that position, which has the same weight and a
+union no larger (and every entry has s < |u|).  So at v = 0 only the
+three unjoined inequalities apply: no x passes when some entry has
+s + r >= |uAB|, and otherwise x runs from max(0, r - top_b) to
 min(top_a, r), where top_a is the least |uA| - s - 1 over the entries
 (the empty set gives a's cap) and top_b is b's.  For v >= 1 all seven
 apply.  s + r - v < |uAB| sets a least v.  s + v < |uM| is v < J.
-s + r < |uMAB| weighs all three classes together, whatever the split,
+s + r < |uMAB| weighs all three positions together, whatever the split,
 so it does not depend on v: when one entry breaks it, every v >= 1
 does.  The other four bound x for each v: x <= |uA| - s - 1 and
 x <= |uMA| - s - 1 - v from above, x >= r - v - (|uB| - s - 1) and
-x >= r - (|uMB| - s - 1) from below, the last again free of v.  Each v
-then adds its class weight times the pair's weights over that range of
-x, a difference of two running sums.  With one class every mask holds
-its own right vertex and so all n of them: G is complete and the class
-takes any split of n - 1.  With two, the masks together hold all n, so
-s + r < |AB| holds for the empty state and the pair takes every split
-that both caps allow.
+x >= r - (|uMB| - s - 1) from below, the last again free of v.  So
+_close yields, for each v that breaks nothing, the range lo..hi of the
+x that break nothing with it, and every split outside those ranges
+breaks an inequality.  The counting walk adds, for each v, its class
+weight times the pair's weights over that range, a difference of two
+running sums; the listing keeps the (v, lo, hi) triples as a leaf.
+With one class every mask holds its own right vertex and so all n of
+them: G is complete and the class takes any split of n - 1.  With two,
+the masks together hold all n, so s + r < |AB| holds for the empty
+state and the pair takes every split that both caps allow.
 
 The walk steps over twin classes, not vertices.  Left vertices with one
 mask are true twins of G, with one closed neighborhood; group [n] into
@@ -104,17 +106,18 @@ independently.
 The subset engine lists through the same walk, per vertex, as a
 memoized diagram.  The node of (k, r, state) holds, for each v that
 position k may take, an edge to the node of (k + 1, r - v, the state
-joined with v), grown by the counting walk's step, and the last two
-positions close into a leaf: the range of v that the first may take,
-the second taking r - v.  The slack filter and the closed pair argue
-over sets of positions, and a vertex is a class of one, so both hold
-per vertex: a dropped entry can never break an inequality, so two
-states with one memo key have the same completions and may share one
-node; and the leaf's range, max(0, r - top_b) to top_a, holds exactly
-the splits that break nothing (the pair is the three-class closure's
-v = 0 term, and its proof takes no third class).  So each path from the
-root to a leaf, with each v of the leaf's range, is one draconian
-sequence, and each draconian sequence is one such path and v.
+joined with v), grown by the counting walk's step, and the node of the
+third-last position is a leaf: _close's triples for its state.  The
+slack filter and the closure argue over sets of positions, and a vertex
+is a class of one, so both hold per vertex: a dropped entry can never
+break an inequality, so two states with one memo key have the same
+completions and may share one node; and the leaf's triples hold exactly
+the completions that break nothing.  So each path from the root to a
+leaf, with a triple (v, lo, hi) of the leaf and an x from lo to hi, is
+one draconian sequence ending v, x, r - v - x, and each draconian
+sequence is one such path, triple and x.  A graph on one or two
+vertices has no three positions to close, and its listing filters the
+weak compositions through the subset test.
 
 The flow engine lists by routing each prefix once.  add_unit is
 deterministic: the owners after a unit depend only on the owners before
@@ -151,6 +154,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
+from .combinat import weak_compositions
 from .flows import UnitRouter
 from .graphs import BipartiteDouble, Graph, biconnected_blocks, connected_components, doubling
 
@@ -203,6 +207,56 @@ def _join(state: dict[int, int], m: int, remaining: int, low: int, high: int):
             if child.get(u, -1) < s:
                 child[u] = s
         yield v, child
+
+
+def _close(state: dict[int, int], m: int, a: int, b: int, remaining: int):
+    """Yield (v, lo, hi) for each weight v that the third-last of the last
+    three positions may take, in increasing v: it has mask m and takes v,
+    and the last two, of masks a and b, take x and remaining - v - x for
+    exactly the x from lo to hi.
+
+    state is the state _join hands that position.  Each entry bounds v
+    from below and above, or rules out every v >= 1, and bounds x for each
+    v (the seven inequalities and their proof are in the module
+    docstring).  Every bound includes the positions' own caps, through the
+    empty set's entry, so no weight needs another check.
+    """
+    ab = a | b
+    low, join = 0, remaining + 1
+    top_a0 = top_b0 = top_a1 = top_b1 = remaining
+    # bounds from every entry, unjoined (a0, b0) and joined with m (a1, b1)
+    for u, s in state.items():
+        # s + remaining - v < |uAB| sets a least v
+        if (t := s + remaining + 1 - (u | ab).bit_count()) > low:
+            low = t
+        if (t := (u | a).bit_count() - s - 1) < top_a0:
+            top_a0 = t
+        if (t := (u | b).bit_count() - s - 1) < top_b0:
+            top_b0 = t
+        u |= m
+        # v < J, the least |uM| - s, which is at least 1
+        if (t := u.bit_count() - s) < join:
+            join = t
+        # s + remaining < |uMAB| for any v: if it fails, no v >= 1 passes
+        if s + remaining >= (u | ab).bit_count():
+            join = 1
+        if (t := (u | a).bit_count() - s - 1) < top_a1:
+            top_a1 = t
+        if (t := (u | b).bit_count() - s - 1) < top_b1:
+            top_b1 = t
+    if low == 0:
+        # v = 0 joins nothing: the last two close on the state as it stands
+        if (lo := max(0, remaining - top_b0)) <= top_a0:
+            yield 0, lo, top_a0
+        low = 1
+    # x >= remaining - top_b1 whatever v is, and top_a1 - v <= remaining - v
+    floor = max(0, remaining - top_b1)
+    for v in range(low, join):
+        rest = remaining - v
+        lo = rest - top_b0 if rest - top_b0 > floor else floor
+        hi = top_a1 - v if top_a1 - v < top_a0 else top_a0
+        if lo <= hi:
+            yield v, lo, hi
 
 
 def _entry_bounds(masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -304,48 +358,43 @@ def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tupl
 def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
     """The subset engine's listing: build a diagram of the walk, then read it.
 
-    The diagram takes _count_walk's step, _join, per vertex (module
-    docstring): each child grown once and slack-filtered, the memo key
-    (position, weight still to place, state), and the last two
-    positions closed without a memo entry.  A node is its edges
-    flattened into one tuple, v0, child0, v1, child1, ... in increasing
-    v, or None when no sequence passes through it; the closed pair's
-    leaf is the range of v that every state entry allows the first of
-    the two, the second taking what is left.  The key holds each state entry packed into one int rather
+    The diagram takes _count_walk's steps per vertex (module docstring):
+    each child grown once by _join and slack-filtered, the memo key
+    (position, weight still to place, state), and the last three
+    positions closed by _close without a memo entry.  A node is its
+    edges flattened into one tuple, v0, child0, v1, child1, ... in
+    increasing v, or None when no sequence passes through it; the leaf
+    at the third-last position is the tuple of _close's (v, lo, hi)
+    triples, and each x from lo to hi ends a sequence with v, x and what
+    is left.  The key holds each state entry packed into one int rather
     than a tuple, and nodes are flat, so the diagram's peak memory stays
     below the counting walk's.  The memo is dropped before the diagram is
     read, so only the nodes that lead to a sequence stay alive while the
-    output is built.  Reading the edges in increasing v gives the
-    sequences in lexicographic order, with no sort.
+    output is built.  Reading the edges, the triples and each range in
+    increasing order gives the sequences in lexicographic order, with no
+    sort.  A graph on at most two vertices is filtered through
+    is_draconian_subset, since it has no three positions to close.
     """
     n = d.n
     masks = d.masks
-    if n == 1:
-        return [(0,)]
-    # a connected G has a sequence, so the walk reaches depth n; a
-    # disconnected one has none and may stop early
+    if n <= 2:
+        return [c for c in weak_compositions(n - 1, n) if is_draconian_subset(d, c)]
+    # a connected G has a sequence, so the walk goes all the way down (n - 2
+    # frames of build and one of _close, under n); a disconnected one has
+    # none and may stop early
     if _connected(masks):
         _check_depth(n)
     last = n - 1
     caps, tail = _entry_bounds(masks)
+    a, b = masks[last - 1], masks[last]
     # a state entry (u, s) has s < n, so u << shift | s packs it into one int
     shift = n.bit_length()
     memo: dict[tuple, tuple | None] = {}
 
     def build(k: int, remaining: int, state: dict[int, int]):
-        if k == last - 1:
-            # the last two positions take v and remaining - v: bound v from each entry
-            a, b = masks[k], masks[last]
-            top_a = top_b = remaining
-            for u, s in state.items():
-                if s + remaining >= (u | a | b).bit_count():
-                    return None
-                if (t := (u | a).bit_count() - s - 1) < top_a:
-                    top_a = t
-                if (t := (u | b).bit_count() - s - 1) < top_b:
-                    top_b = t
-            low = remaining - top_b
-            return range(low, top_a + 1) if low <= top_a else None
+        if k == last - 2:
+            # the last three positions take v, x and remaining - v - x
+            return tuple(_close(state, masks[k], a, b, remaining)) or None
         key = (k, remaining, frozenset([u << shift | s for u, s in state.items()]))
         if key in memo:
             return memo[key]
@@ -364,9 +413,11 @@ def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
     def emit(k: int, node, prefix: tuple[int, ...], remaining: int):
-        if k == last - 1:
-            for v in node:
-                out.append(prefix + (v, remaining - v))
+        if k == last - 2:
+            for v, lo, hi in node:
+                rest = remaining - v
+                for x in range(lo, hi + 1):
+                    out.append(prefix + (v, x, rest - x))
             return
         edges = iter(node)
         for v, child in zip(edges, edges):
@@ -440,13 +491,13 @@ def _count_walk(d: BipartiteDouble) -> int:
     entries whose slack |union| - weight exceeds the weight the child
     still has to place: such an entry can never break (module
     docstring).  The node of the third-last class closes the last three
-    in closed form: each entry bounds the third-last class's v from
-    below and above, or rules out every v >= 1, and bounds the split x
-    of the last two for each v; the node sums, over v, the class's weight
-    times the last two classes' weights over the allowed x, read off a
-    table of running sums.  It keeps its memo entry, since twin-heavy
-    graphs reach one (weight, state) there many times.  A block of one
-    or two classes is counted from the weights alone.
+    through _close, which gives each weight v the class may take and the
+    range of splits x of the last two that goes with it; the node sums,
+    over v, the class's weight times the last two classes' weights over
+    that range, read off a table of running sums.  It keeps its memo
+    entry, since twin-heavy graphs reach one (weight, state) there many
+    times.  A block of one or two classes is counted from the weights
+    alone.
     """
     classes = Counter(d.masks)  # mask -> class size, in order of first occurrence
     masks = list(classes)
@@ -473,7 +524,6 @@ def _count_walk(d: BipartiteDouble) -> int:
         return pairs[-1][-1] if tail[0] >= d.n - 1 else 0
     _check_depth(len(masks))
     a, b = masks[last - 1], masks[last]
-    ab = a | b
     memo: dict[tuple, int] = {}
 
     def walk(k: int, remaining: int, state: dict[int, int]) -> int:
@@ -486,47 +536,10 @@ def _count_walk(d: BipartiteDouble) -> int:
             for v, child in _join(state, masks[k], remaining,
                                   max(0, remaining - tail[k + 1]), min(caps[k], remaining)):
                 count += ways[v] * walk(k + 1, remaining - v, child)
-            memo[key] = count
-            return count
-        # the last three classes take v, x and remaining - v - x: bound each
-        # from every entry, unjoined (a0, b0) and joined with this class (a1, b1)
-        m = masks[k]
-        low, join = 0, remaining + 1
-        top_a0 = top_b0 = top_a1 = top_b1 = remaining
-        for u, s in state.items():
-            # s + remaining - v < |uAB| sets a least v
-            if (t := s + remaining + 1 - (u | ab).bit_count()) > low:
-                low = t
-            if (t := (u | a).bit_count() - s - 1) < top_a0:
-                top_a0 = t
-            if (t := (u | b).bit_count() - s - 1) < top_b0:
-                top_b0 = t
-            u |= m
-            # v < J, the least |uM| - s, which is at least 1
-            if (t := u.bit_count() - s) < join:
-                join = t
-            # s + remaining < |uMAB| for any v: if it fails, no v >= 1 passes
-            if s + remaining >= (u | ab).bit_count():
-                join = 1
-            if (t := (u | a).bit_count() - s - 1) < top_a1:
-                top_a1 = t
-            if (t := (u | b).bit_count() - s - 1) < top_b1:
-                top_b1 = t
-        if low == 0:
-            # v = 0 joins nothing: the closed pair on the state as it stands
-            lo, hi = max(0, remaining - top_b0), top_a0
-            if lo <= hi:
-                row = pairs[remaining]
-                count = row[hi] - row[lo - 1] if lo else row[hi]
-            low = 1
-        # x >= remaining - top_b1 whatever v is, and top_a1 - v <= remaining - v
-        floor = max(0, remaining - top_b1)
-        for v in range(low, join):
-            rest = remaining - v
-            lo = rest - top_b0 if rest - top_b0 > floor else floor
-            hi = top_a1 - v if top_a1 - v < top_a0 else top_a0
-            if lo <= hi:
-                row = pairs[rest]
+        else:
+            # the last three classes take v, x and remaining - v - x
+            for v, lo, hi in _close(state, masks[k], a, b, remaining):
+                row = pairs[remaining - v]
                 count += ways[v] * (row[hi] - row[lo - 1] if lo else row[hi])
         memo[key] = count
         return count

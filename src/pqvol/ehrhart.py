@@ -13,7 +13,13 @@ Robins, "Computing the Continuous Discretely", ch. 3-4).
 
 Only the first n dilates are counted.  For connected G on n vertices:
 
-  * P lies in {sum a = 1, sum b = 1} and has dimension d = 2n - 2.
+  * P lies in {sum a = 1, sum b = 1} and has dimension d = 2n - 2, so
+    no rank is computed.  For an edge ij, (e_i, e_j) - (e_i, e_i) =
+    (0, e_j - e_i) and (e_j, e_j) - (e_i, e_j) = (e_j - e_i, 0) are
+    differences of vertices.  The e_j - e_i over the edges of a spanning
+    tree span the sum-zero space of R^n, so these differences span both
+    sum-zero spaces, of dimension n - 1 each, and P's affine hull is the
+    whole plane.
   * A lattice point of tP with t < n has some a_i = 0.  The bound
     a_i >= 0 holds on P and is not an implicit equation, because the
     vertex (e_i, e_i) has a_i = 1.  So the point lies on a proper face
@@ -263,7 +269,8 @@ def ehrhart_nvol(g: Graph) -> EhrhartTable:
     """
     if len(connected_components(g)) != 1:
         raise ValueError("the geometric oracle only handles connected graphs")
-    d = affine_dimension(polytope_vertices(g))
+    # the dimension of a connected graph's polytope (module docstring)
+    d = 2 * g.n - 2
     h = _h_star([count_dilate_points(g, t) for t in range(g.n)], d)
     if h[-1] != 1 or min(h) < 0:
         raise ValueError(f"dilate counts give h* = {h}: expected h*_k >= 0 and h*_{g.n - 1} = 1")

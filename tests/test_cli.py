@@ -22,7 +22,7 @@ import pytest
 import pqvol
 from pqvol import cli, draconian, ehrhart, lost_sequences, tripling
 from pqvol.cli import main
-from pqvol.draconian import count_draconian, enumerate_draconian
+from pqvol.draconian import ENGINES, count_draconian, enumerate_draconian
 from pqvol.graphs import MAX_VERTICES, doubling, parse_graph
 
 SCHEMA = json.loads((files("pqvol") / "schemas" / "report.schema.json").read_text())
@@ -291,6 +291,9 @@ def test_schema_names_the_table_families():
     assert defs["formula_report"]["properties"]["family"]["enum"] == list(cli.FAMILIES)
     assert defs["verify_report"]["properties"]["family"]["enum"] == [
         name for name, family in cli.FAMILIES.items() if family.row is not None]
+    # count prints one method per engine, and no other command prints one
+    assert defs["volume_report"]["properties"]["method"]["enum"] == [
+        f"{engine}-enumeration" for engine in ENGINES]
 
 
 @pytest.mark.parametrize("spec, want", [

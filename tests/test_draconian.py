@@ -221,9 +221,10 @@ def seeded_doubles(seed, draws, n_max=7):
 
 def mutant(name, **changes):
     """A copy of draconian's function name with pieces of its source, or of
-    the source of _join, the step it takes, changed; changes maps each
-    piece, found once in one of the two, to its replacement."""
-    sources = {f: inspect.getsource(getattr(draconian, f)) for f in ("_join", name)}
+    the sources of _join and _close, the step and the closure it takes,
+    changed; changes maps each piece, found once in one of the three, to
+    its replacement."""
+    sources = {f: inspect.getsource(getattr(draconian, f)) for f in ("_join", "_close", name)}
     for old, new in changes.values():
         holders = [f for f, source in sources.items() if old in source]
         assert len(holders) == 1 and sources[holders[0]].count(old) == 1, old
@@ -276,30 +277,32 @@ def test_slack_prune_drops_nothing_that_can_break():
 
 
 def test_last_position_joins_what_is_left():
-    # the last class takes all the weight the two before it leave, and that
-    # can break an inequality: a copy of the walk's closing classes that
-    # bounds the last class by its cap alone, with no entry joined to it and
-    # no full union checked, miscounts
-    unjoined = mutant(
-        "_count_walk",
+    # the last position takes all the weight the two before it leave, and
+    # that can break an inequality: copies of the walk and of the listing
+    # whose closure bounds the last position by its cap alone, with no entry
+    # joined to it and no full union checked, miscount
+    unjoined = dict(
         low=("if (t := s + remaining + 1 - (u | ab).bit_count()) > low:", "if False:"),
         whole=("if s + remaining >= (u | ab).bit_count():", "if False:"),
-        b0=("(t := (u | b).bit_count() - s - 1) < top_b0", "(t := caps[last]) < top_b0"),
-        b1=("(t := (u | b).bit_count() - s - 1) < top_b1", "(t := caps[last]) < top_b1"))
+        b0=("(t := (u | b).bit_count() - s - 1) < top_b0", "(t := b.bit_count() - 1) < top_b0"),
+        b1=("(t := (u | b).bit_count() - s - 1) < top_b1", "(t := b.bit_count() - 1) < top_b1"))
     assert draconian._count_walk(doubling(complete_graph(1))) == 1
     assert draconian._count_walk(doubling(complete_graph(2))) == 2
-    assert miscounts(unjoined, "last", 100) >= 20
+    assert miscounts(mutant("_count_walk", **unjoined), "last", 100) >= 20
+    listing = mutant("_subset_listing", **unjoined)
+    assert miscounts(lambda d: len(listing(d)), "last", 100) >= 37
 
 
-# the rules of the closed last three classes: the third-last takes v (mask M),
-# the last two x and r - v - x (masks A and B), for each entry (u, s)
+# the rules of _close, the closure of the last three positions: the third-last
+# takes v (mask M), the last two x and r - v - x (masks A and B), for each
+# entry (u, s)
 CLOSED_RULES = {
     # unjoined, s + r - v < |uAB|: a least v
     "least v": ("if (t := s + remaining + 1 - (u | ab).bit_count()) > low:", "if False:"),
     # joined, s + r < |uMAB|, which rules out every v >= 1
     "joined full union": ("if s + remaining >= (u | ab).bit_count():", "if False:"),
     # joined, s + v < |uM|, the join bound J; the copy bounds v by M's cap alone
-    "join bound": ("(t := u.bit_count() - s) < join", "(t := caps[k] + 1) < join"),
+    "join bound": ("(t := u.bit_count() - s) < join", "(t := m.bit_count()) < join"),
     # joined, s + v + x < |uMA|
     "joined A": ("if (t := (u | a).bit_count() - s - 1) < top_a1:", "if False:"),
     # joined, s + r - x < |uMB|
@@ -307,11 +310,19 @@ CLOSED_RULES = {
 }
 
 
+# how many of the same 200 graphs the listing must miscount without each rule
+LISTING_LEAST = {"least v": 30, "joined full union": 14, "join bound": 20,
+                 "joined A": 20, "joined B": 22}
+
+
 @pytest.mark.parametrize("rule, least", [("least v", 25), ("joined full union", 12),
                                          ("join bound", 14), ("joined A", 17), ("joined B", 19)])
 def test_each_rule_of_the_closed_classes_matters(rule, least):
+    # both walks close through _close: dropping a rule miscounts each of them
     dropped = mutant("_count_walk", rule=CLOSED_RULES[rule])
     assert miscounts(dropped, f"closed {rule}", 200) >= least
+    listing = mutant("_subset_listing", rule=CLOSED_RULES[rule])
+    assert miscounts(lambda d: len(listing(d)), f"closed {rule}", 200) >= LISTING_LEAST[rule]
 
 
 def test_closed_classes_bite_on_paths_and_cycles():
@@ -343,18 +354,32 @@ def test_listing_diagram_slack_filter_drops_nothing_that_can_break():
 
 
 def test_listing_diagram_closed_pair_joins_what_is_left():
-    # the diagram's leaf bounds both closing positions from every state entry:
-    # a copy that bounds the last one by its cap alone miscounts
-    unjoined = mutant("_subset_listing",
-                      both=("if s + remaining >= (u | a | b).bit_count():", "if False:"),
-                      alone=("(u | b).bit_count() - s - 1", "caps[last]"))
+    # with two positions there is nothing to close: the listing keeps the
+    # compositions that pass the subset test, and the closure rules above
+    # cover every larger graph
     assert enumerate_draconian(doubling(complete_graph(2))) == [(0, 1), (1, 0)]
-    assert miscounts(lambda d: len(unjoined(d)), "listing pair", 100) >= 20
 
 
 def flow_filter(d):
     """The reference listing: the flow test on every weak composition, in order."""
     return [c for c in weak_compositions(d.n - 1, d.n) if is_draconian_flow(d, c)]
+
+
+def test_subset_listing_matches_the_flow_filter_from_one_vertex_to_c12():
+    # the three graphs on at most two vertices, which the listing filters
+    # through the subset test, then cycles up to the twin-free C_12 and
+    # seeded graphs on up to 9 vertices, which close through _close; the
+    # filter tests all C(2n - 2, n - 1) weak compositions, so above 8
+    # vertices the flow engine's prefix walk, pinned to the filter in the
+    # next test, stands in for it
+    graphs = [doubling(complete_graph(1)), doubling(complete_graph(2)),
+              doubling(Graph(2, frozenset()))]
+    graphs += [doubling(cycle(n)) for n in range(3, 13)]
+    graphs += list(seeded_doubles("listing closure", 40, n_max=9))
+    for d in graphs:
+        want = flow_filter(d) if d.n <= 8 else enumerate_draconian(d, "flow")
+        assert draconian._subset_listing(d) == want, d
+    assert {d.n for d in graphs} == set(range(1, 13))
 
 
 def test_listings_match_the_per_composition_filter():
@@ -374,7 +399,7 @@ def test_listings_match_the_per_composition_filter():
 def test_flow_listing_calls_nothing_of_the_subset_walk():
     # the flow engine checks the subset engine: it must not share its steps
     source = inspect.getsource(draconian._flow_listing)
-    for name in ("_join", "_entry_bounds", "state", "_subset_listing", "_count_walk"):
+    for name in ("_join", "_close", "_entry_bounds", "state", "_subset_listing", "_count_walk"):
         assert name not in source, name
 
 

@@ -34,8 +34,18 @@ def test_polytope_vertices_small():
 def test_affine_dimension():
     assert affine_dimension(polytope_vertices(complete_graph(1))) == 0
     assert affine_dimension(polytope_vertices(complete_graph(2))) == 2
-    for g in [complete_graph(3), complete_graph(4), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])]:
-        assert affine_dimension(polytope_vertices(g)) == 2 * g.n - 2
+    graphs = [complete_graph(3), complete_graph(4), Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])]
+    # ehrhart_nvol takes 2n - 2 for every connected graph, from the span proof
+    # in the module docstring: the exact rank must agree on seeded ones
+    rng = random.Random("dimension")
+    while len(graphs) < 60:
+        n = rng.randint(1, 7)
+        g = Graph.from_edges(n, random_graph(rng, n, rng.choice((0.3, 0.6, 0.9))))
+        if len(components(n, g.sorted_edges())) == 1:
+            graphs.append(g)
+    assert {g.n for g in graphs} == set(range(1, 8))
+    for g in graphs:
+        assert affine_dimension(polytope_vertices(g)) == 2 * g.n - 2, g.descriptor()
     with pytest.raises(ValueError):
         affine_dimension([])
 
@@ -225,7 +235,7 @@ def test_ehrhart_calls_no_draconian_counter(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the geometric oracle called a draconian counter")
 
-    for name in ("count_draconian", "enumerate_draconian", "_count_walk", "_join",
+    for name in ("count_draconian", "enumerate_draconian", "_count_walk", "_join", "_close",
                  "is_draconian_subset", "is_draconian_flow"):
         monkeypatch.setattr(draconian, name, fail)
         assert not hasattr(ehrhart, name)
