@@ -11,7 +11,7 @@ form, then prints the first few members for n = 3 so the lex order of
 the enumeration is visible.
 """
 
-from pqvol import complete_graph, count_draconian, enumerate_draconian, doubling, nvol_complete
+from pqvol import complete_graph, count_draconian, enumerate_draconian, nvol_complete
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
 
     print()
     print("all draconian sequences for the triangle (weak compositions of 2):")
-    for c in enumerate_draconian(doubling(complete_graph(3))):
+    for c in enumerate_draconian(complete_graph(3)):
         print("  ", c)
 
 

@@ -26,7 +26,6 @@ from .formulas import (
     nvol_path_deleted,
 )
 from .graphs import (
-    BipartiteDouble,
     Graph,
     GraphFormatError,
     complete_graph,
@@ -64,7 +63,6 @@ from .tripling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteDouble",
     "EhrhartTable",
     "Graph",
     "GraphFormatError",

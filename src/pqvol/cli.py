@@ -35,7 +35,6 @@ from .graphs import (
     connected_components,
     delete_cycle,
     delete_path,
-    doubling,
     load_graph,
     matching_triangles,
 )
@@ -69,6 +68,16 @@ def check_cap(what: str, size: int, cap: int):
     if size > cap:
         raise EnumerationCapExceeded(
             f"{what} has {size} vertices, over the cap {cap}; raise --cap-n to force this"
+        )
+
+
+def check_connected(what: str, comps: list[tuple[int, ...]]) -> None:
+    """Refuse a graph of more than one component (exit 2) where the command
+    reads one sequence set: a disconnected graph has none."""
+    if len(comps) != 1:
+        raise UsageError(
+            f"{what} needs a connected graph: for disconnected input the volume "
+            "is a product over components, not the size of one sequence set"
         )
 
 
@@ -172,12 +181,8 @@ def cmd_count(args) -> int:
     comps = connected_components(g)
     check_cap("largest component", max(map(len, comps)), args.cap_n)
     if args.list:
-        if len(comps) != 1:
-            raise UsageError(
-                "--list needs a connected graph: for disconnected input the volume "
-                "is a product over components, not the size of one sequence set"
-            )
-        for c in enumerate_draconian(doubling(g), args.engine):
+        check_connected("--list", comps)
+        for c in enumerate_draconian(g, args.engine):
             print(" ".join(str(x) for x in c))
         return 0
     report = count_draconian(g, engine=args.engine)
@@ -346,6 +351,7 @@ def cmd_ehrhart(args) -> int:
 def cmd_recurrence(args) -> int:
     g = load_input_graph(args)
     check_cap("graph", g.n, args.cap_n)
+    check_connected("recurrence", connected_components(g))
     try:
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError:

@@ -156,14 +156,14 @@ from typing import Sequence
 
 from .combinat import weak_compositions
 from .flows import UnitRouter
-from .graphs import BipartiteDouble, Graph, biconnected_blocks, connected_components, doubling
+from .graphs import Graph, biconnected_blocks, connected_components, doubling
 
 ENGINES = ("subset", "flow")
 
 
-def _check_sequence(d: BipartiteDouble, c: Sequence[int]):
-    if len(c) != d.n:
-        raise ValueError(f"sequence length {len(c)} does not match n = {d.n}")
+def _check_sequence(d: tuple[int, ...], c: Sequence[int]):
+    if len(c) != len(d):
+        raise ValueError(f"sequence length {len(c)} does not match n = {len(d)}")
     if any(x < 0 for x in c):
         raise ValueError(f"sequence {tuple(c)} has a negative entry")
 
@@ -279,39 +279,41 @@ def _engine(name: str) -> str:
     return name
 
 
-def is_draconian_subset(d: BipartiteDouble, c: Sequence[int]) -> bool:
+def is_draconian_subset(d: tuple[int, ...], c: Sequence[int]) -> bool:
     """Subset-inequality test over the subsets of the support of c, which is
-    equivalent to the definition (module docstring)."""
+    equivalent to the definition (module docstring).  d is D(G)'s masks,
+    doubling(g), built once by a caller that tests many sequences."""
     _check_sequence(d, c)
     state = {0: 0}
     remaining = sum(c)
     for i, v in enumerate(c):
         if v > 0:
             # the one child of weight v, or none when v breaks a joined subset
-            if (step := next(_join(state, d.masks[i], remaining, v, v), None)) is None:
+            if (step := next(_join(state, d[i], remaining, v, v), None)) is None:
                 return False
             state = step[1]
             remaining -= v
     return True
 
 
-def is_draconian_flow(d: BipartiteDouble, c: Sequence[int],
+def is_draconian_flow(d: tuple[int, ...], c: Sequence[int],
                       routed: UnitRouter | None = None) -> bool:
     """Flow test: for every i, c + e_i must route into distinct right vertices.
 
-    c itself is routed first; then one residual search (UnitRouter.open_rows)
-    finds every i for which c + e_i routes.  routed, when given, is a
-    router over d.masks that already holds every unit of c, as the flow
-    listing builds it one prefix at a time; only the search is left.
+    d is D(G)'s masks, doubling(g).  c itself is routed first; then one
+    residual search (UnitRouter.open_rows) finds every i for which c + e_i
+    routes.  routed, when given, is a router over d that already holds
+    every unit of c, as the flow listing builds it one prefix at a time;
+    only the search is left.
     """
     if routed is None:
         _check_sequence(d, c)
-        routed = UnitRouter(d.masks, d.n)
+        routed = UnitRouter(d, len(d))
         # a unit of c that fails to route means some S already breaks the
         # non-strict Hall bound, so c + e_i fails for any i in S
         if not routed.route(c):
             return False
-    return routed.open_rows() == (1 << d.n) - 1
+    return routed.open_rows() == (1 << len(d)) - 1
 
 
 def _check_depth(depth: int):
@@ -327,35 +329,28 @@ def _check_depth(depth: int):
     raise RecursionError(f"a walk {depth} frames deep does not fit under the recursion limit")
 
 
-def _connected(masks: Sequence[int]) -> bool:
-    """Is G connected?  masks are D(G)'s left neighborhoods, each holding its own vertex."""
-    reach = frontier = masks[0]
-    while frontier:
-        grown = 0
-        while frontier:
-            bit = frontier & -frontier
-            grown |= masks[bit.bit_length() - 1]
-            frontier ^= bit
-        frontier = grown & ~reach
-        reach |= grown
-    return reach == (1 << len(masks)) - 1
-
-
-def enumerate_draconian(d: BipartiteDouble, engine: str = "subset") -> list[tuple[int, ...]]:
-    """All draconian sequences for d, in lexicographic order.
+def enumerate_draconian(g: Graph, engine: str = "subset") -> list[tuple[int, ...]]:
+    """All draconian sequences of g, read off its double D(G), in lexicographic order.
 
     engine='subset' builds a memoized diagram of the subset walk and
     reads the sequences off it (_subset_listing).  engine='flow' routes
     each prefix's units once and keeps the compositions whose every row
     stays open (_flow_listing); it is slower and exists as an
     independent cross-check.  Both step per vertex, never per twin class.
+
+    A disconnected g has none, so neither walk runs.  The masks of a
+    component C's vertices stay inside C, so the inequality for S = C
+    caps c(C) at |C| - 1.  With k >= 2 components those caps sum to
+    n - k < n - 1, the weight every c places, so every c breaks one.
     """
-    if _engine(engine) == "flow":
-        return _flow_listing(d)
-    return _subset_listing(d)
+    resolved = _engine(engine)
+    if len(connected_components(g)) > 1:
+        return []
+    d = doubling(g)
+    return _flow_listing(d) if resolved == "flow" else _subset_listing(d)
 
 
-def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
+def _subset_listing(masks: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The subset engine's listing: build a diagram of the walk, then read it.
 
     The diagram takes _count_walk's steps per vertex (module docstring):
@@ -374,16 +369,14 @@ def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
     increasing order gives the sequences in lexicographic order, with no
     sort.  A graph on at most two vertices is filtered through
     is_draconian_subset, since it has no three positions to close.
+    enumerate_draconian hands it only a connected G, which has a sequence,
+    so the walk goes all the way down: n - 2 frames of build and one of
+    _close, under n.
     """
-    n = d.n
-    masks = d.masks
+    n = len(masks)
     if n <= 2:
-        return [c for c in weak_compositions(n - 1, n) if is_draconian_subset(d, c)]
-    # a connected G has a sequence, so the walk goes all the way down (n - 2
-    # frames of build and one of _close, under n); a disconnected one has
-    # none and may stop early
-    if _connected(masks):
-        _check_depth(n)
+        return [c for c in weak_compositions(n - 1, n) if is_draconian_subset(masks, c)]
+    _check_depth(n)
     last = n - 1
     caps, tail = _entry_bounds(masks)
     a, b = masks[last - 1], masks[last]
@@ -429,7 +422,7 @@ def _subset_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
     return out
 
 
-def _flow_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
+def _flow_listing(d: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The flow engine's listing: is_draconian_flow over every weak
     composition of n - 1, with each prefix's units routed once.
 
@@ -443,7 +436,7 @@ def _flow_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
     keeps it when open_rows covers every row (module docstring).  The
     walk calls nothing of the subset engine's, so it checks it.
     """
-    n = d.n
+    n = len(d)
     last = n - 1
     out: list[tuple[int, ...]] = []
     c = [0] * n
@@ -470,13 +463,13 @@ def _flow_listing(d: BipartiteDouble) -> list[tuple[int, ...]]:
                 walk(k + 1, remaining - v, child)
             c[k] = 0
 
-    walk(0, last, UnitRouter(d.masks, n))
+    walk(0, last, UnitRouter(d, n))
     # walk's closure refers to itself: break the cycle so out is freed without a GC pass
     del walk
     return out
 
 
-def _count_walk(d: BipartiteDouble) -> int:
+def _count_walk(d: tuple[int, ...]) -> int:
     """The number of draconian sequences for d, found without listing them.
 
     The walk places one weight per twin class, the left vertices with
@@ -499,7 +492,8 @@ def _count_walk(d: BipartiteDouble) -> int:
     times.  A block of one or two classes is counted from the weights
     alone.
     """
-    classes = Counter(d.masks)  # mask -> class size, in order of first occurrence
+    n = len(d)
+    classes = Counter(d)  # mask -> class size, in order of first occurrence
     masks = list(classes)
     last = len(masks) - 1
     caps, tail = _entry_bounds(masks)
@@ -508,11 +502,11 @@ def _count_walk(d: BipartiteDouble) -> int:
                for cap, t in zip(caps, classes.values())]
     if last == 0:
         # one class: every mask is full, so every split of n - 1 is draconian
-        return weights[0][d.n - 1]
+        return weights[0][n - 1]
     # pairs[r][x]: the ways the last two classes take some x' <= x and r - x'
     first, second = weights[last - 1], weights[last]
     pairs = []
-    for r in range(min(tail[last - 1], d.n - 1) + 1):
+    for r in range(min(tail[last - 1], n - 1) + 1):
         run, row = 0, []
         for x in range(min(caps[last - 1], r) + 1):
             if r - x <= caps[last]:
@@ -521,7 +515,7 @@ def _count_walk(d: BipartiteDouble) -> int:
         pairs.append(row)
     if last == 1:
         # two classes: every split that both caps allow (their masks cover [n])
-        return pairs[-1][-1] if tail[0] >= d.n - 1 else 0
+        return pairs[-1][-1] if tail[0] >= n - 1 else 0
     _check_depth(len(masks))
     a, b = masks[last - 1], masks[last]
     memo: dict[tuple, int] = {}
@@ -544,7 +538,7 @@ def _count_walk(d: BipartiteDouble) -> int:
         memo[key] = count
         return count
 
-    count = walk(0, d.n - 1, {0: 0})
+    count = walk(0, n - 1, {0: 0})
     # walk's closure refers to itself: break the cycle so memo is freed without a GC pass
     del walk
     return count
@@ -586,8 +580,8 @@ def count_draconian(g: Graph, engine: str = "subset") -> VolumeReport:
     start = time.perf_counter()
     count = 1
     for block in biconnected_blocks(g):
-        d = doubling(block)
-        count *= _count_walk(d) if resolved == "subset" else len(enumerate_draconian(d, "flow"))
+        count *= (_count_walk(doubling(block)) if resolved == "subset"
+                  else len(enumerate_draconian(block, "flow")))
     comps = connected_components(g)
     notes = []
     if len(comps) > 1:

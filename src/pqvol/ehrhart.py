@@ -143,7 +143,7 @@ def is_in_dilate(g: Graph, t: int, z: Sequence[int]) -> bool:
     a, b = z[: g.n], z[g.n :]
     if sum(a) != t or sum(b) != t:
         return False
-    return transportation_feasible(doubling(g).masks, a, b)
+    return transportation_feasible(doubling(g), a, b)
 
 
 @dataclass
@@ -233,7 +233,7 @@ def _count_column_margins(masks: Sequence[int], a: Sequence[int]) -> int:
 def count_dilate_points(g: Graph, t: int) -> int:
     """Number of lattice points in the t-th dilate: for each row margin a,
     the number of feasible column margins, by Gale's condition."""
-    masks = doubling(g).masks
+    masks = doubling(g)
     return sum(_count_column_margins(masks, a) for a in weak_compositions(t, g.n))
 
 

@@ -12,8 +12,9 @@ parameters: complete_graph, matching_triangles, delete_path, delete_cycle.
 The doubling D(G) of a graph G on [n] is the bipartite graph on
 [n] + [n-bar] in which i on the left is joined to i-bar and to j-bar
 for every edge ij of G.  Left neighborhoods in D(G) drive all the
-counting in this package; they are adj with the self bit added, so
-bit j-1 of masks[i-1] is set exactly when i is joined to j-bar.
+counting in this package; doubling(g) returns them as a tuple of
+bitmasks, adj with the self bit added, so bit j-1 of its entry i-1 is set
+exactly when i is joined to j-bar.
 """
 
 from __future__ import annotations
@@ -100,17 +101,11 @@ class Graph:
         return f"n={self.n};e={body}"
 
 
-@dataclass(frozen=True)
-class BipartiteDouble:
-    """Left neighborhoods of the doubling D(G), as bitmasks over right labels."""
-
-    n: int
-    masks: tuple[int, ...]
-
-
-def doubling(g: Graph) -> BipartiteDouble:
-    """The bipartite double of g.  Left vertex i meets i-bar and j-bar for edges ij."""
-    return BipartiteDouble(g.n, tuple(m | 1 << i for i, m in enumerate(g.adj)))
+def doubling(g: Graph) -> tuple[int, ...]:
+    """The left neighborhoods of g's bipartite double D(G), one bitmask over
+    the right labels per left vertex: left vertex i meets i-bar and j-bar
+    for every edge ij.  Its length is g.n."""
+    return tuple(m | 1 << i for i, m in enumerate(g.adj))
 
 
 def complete_graph(n: int) -> Graph:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .draconian import count_draconian, enumerate_draconian
-from .graphs import Graph, connected_components, doubling, triangle_extend
+from .graphs import Graph, connected_components, triangle_extend
 
 
 def lift_one(c: Sequence[int]) -> tuple[int, ...]:
@@ -149,8 +149,8 @@ def verify_partition(g: Graph, e: tuple[int, int], matching_mode: bool = False) 
     """
     u, v = min(e), max(e)
     extended_graph = triangle_extend(g, (u, v))
-    base = enumerate_draconian(doubling(g))
-    extended = set(enumerate_draconian(doubling(extended_graph)))
+    base = enumerate_draconian(g)
+    extended = set(enumerate_draconian(extended_graph))
 
     # lift_one ignores the edge, so both orientations share its image
     one = {lift_one(c) for c in base}

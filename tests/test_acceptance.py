@@ -151,7 +151,7 @@ def test_criterion_8_invariance_and_degeneracy():
 
     two_k2 = Graph.from_edges(4, [(1, 2), (3, 4)])
     assert count_draconian(two_k2).count == 4
-    assert enumerate_draconian(doubling(two_k2)) == []
+    assert enumerate_draconian(two_k2) == []
     report(8, "counts survive 50 random relabelings per graph; two disjoint "
               "single edges give product 4 while the raw union count is 0")
 

@@ -23,7 +23,7 @@ import pqvol
 from pqvol import cli, draconian, ehrhart, lost_sequences, tripling
 from pqvol.cli import main
 from pqvol.draconian import ENGINES, count_draconian, enumerate_draconian
-from pqvol.graphs import MAX_VERTICES, doubling, parse_graph
+from pqvol.graphs import MAX_VERTICES, parse_graph
 
 SCHEMA = json.loads((files("pqvol") / "schemas" / "report.schema.json").read_text())
 # for a fresh interpreter: import the package from where this one found it
@@ -213,7 +213,7 @@ def test_library_takes_no_size_cap():
     with pytest.raises(RecursionError):
         count_draconian(wheel)
     with pytest.raises(RecursionError):
-        enumerate_draconian(doubling(wheel))
+        enumerate_draconian(wheel)
 
 
 def test_import_loads_no_process_pool():
@@ -500,9 +500,9 @@ def test_verify_matching_reuses_the_step_count(monkeypatch, capsys):
         counts.append(g.n)
         return count_draconian(g, *args)
 
-    def listing(d, *args):
-        listings.append(d.n)
-        return enumerate_draconian(d, *args)
+    def listing(g, *args):
+        listings.append(g.n)
+        return enumerate_draconian(g, *args)
 
     monkeypatch.setattr(cli, "count_draconian", counting)
     monkeypatch.setattr(draconian, "enumerate_draconian", listing)
@@ -548,7 +548,7 @@ WHEEL_HUB_LAST = STAR_CENTRE_LAST + "".join(f"{i} {i % 1099 + 1}\n" for i in ran
     (["count", "--cap-n", "2000"], STAR_CENTRE_LAST, 0),
     (["count", "--list", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
     (["count", "--cap-n", "2000"], WHEEL_HUB_LAST, 3),
-    (["recurrence", "--edge", "1,2", "--cap-n", "2000"], "1500\n1 2\n", 0),
+    (["recurrence", "--edge", "1,2", "--cap-n", "2000"], "1500\n1 2\n", 2),
     (["count", "--list", "--engine", "flow", "--cap-n", "2000"], STAR_CENTRE_LAST, 3),
     (["count", "--engine", "flow", "--cap-n", "2000"], STAR_CENTRE_LAST, 0),
 ], ids=["recurrence-star", "count-star", "count-list-star", "count-wheel",
@@ -556,16 +556,18 @@ WHEEL_HUB_LAST = STAR_CENTRE_LAST + "".join(f"{i} {i % 1099 + 1}\n" for i in ran
 def test_recursion_limit_exits_3_only_when_reached(capsys, tmp_path, argv, text, want):
     # the listings and the counting walk recurse once per vertex of what they
     # walk while entries stay in play: every leaf of a star does, and so does
-    # every rim vertex of the wheel, the isolated vertices of the one-edge graph
-    # do not; counting splits the star into 1099 K_2 blocks, each walked alone.
-    # The flow listing walks the star's 1100 positions, and its router
-    # recurses once per column it moves a unit through
+    # every rim vertex of the wheel; counting splits the star into 1099 K_2
+    # blocks, each walked alone.  The flow listing walks the star's 1100
+    # positions, and its router recurses once per column it moves a unit
+    # through.  The one-edge graph is disconnected: recurrence refuses it
+    # before anything is listed
     path = tmp_path / "g.txt"
     path.write_text(text)
     code, out, err = run(capsys, *argv, "--graph", str(path))
     assert code == want, err
     if want:
-        assert out == "" and err.startswith("error:") and "recurses" in err
+        assert out == "" and err.startswith("error:")
+        assert ("recurses" if want == 3 else "needs a connected graph") in err
     elif argv[0] == "count":
         assert json.loads(out)["count"] == str(2 ** 1099)
 

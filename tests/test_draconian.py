@@ -71,7 +71,7 @@ def test_support_restriction_equals_full_powerset():
 
 @pytest.mark.parametrize("n", sorted(COMPLETE_COUNTS))
 def test_complete_graph_counts(n):
-    got = enumerate_draconian(doubling(complete_graph(n)))
+    got = enumerate_draconian(complete_graph(n))
     assert len(got) == COMPLETE_COUNTS[n]
 
 
@@ -88,7 +88,7 @@ def test_enumeration_matches_brute_force():
     ]
     for g in cases:
         want = brute_draconian(g.n, g.sorted_edges())
-        got = enumerate_draconian(doubling(g))
+        got = enumerate_draconian(g)
         assert set(got) == want, g.descriptor()
         assert got == sorted(got)
         assert len(set(got)) == len(got)
@@ -100,7 +100,7 @@ def test_enumeration_matches_brute_force_random():
         n = rng.randrange(1, 6)
         g = Graph.from_edges(n, random_graph(rng, n))
         want = brute_draconian(g.n, g.sorted_edges())
-        assert set(enumerate_draconian(doubling(g))) == want, g.descriptor()
+        assert set(enumerate_draconian(g)) == want, g.descriptor()
 
 
 def _no_listing(*args, **kwargs):
@@ -123,7 +123,7 @@ def test_every_counting_path_matches_the_oracle(monkeypatch, p):
             volume *= len(brute_draconian(
                 len(block), [(index[u], index[v]) for u, v in edges if u in index]))
         for engine in ENGINES:
-            assert enumerate_draconian(d, engine) == want, (g.descriptor(), engine)
+            assert enumerate_draconian(g, engine) == want, (g.descriptor(), engine)
             with monkeypatch.context() as patch:
                 if engine == "subset":
                     patch.setattr(draconian, "enumerate_draconian", _no_listing)
@@ -151,7 +151,8 @@ def reference_walk(d):
     own, filters each state on entry and closes only the last two classes.
     _count_walk, which grows each child once and closes the last three,
     must count exactly as it does."""
-    classes = Counter(d.masks)
+    n = len(d)
+    classes = Counter(d)
     masks = list(classes)
     last = len(masks) - 1
     caps = [m.bit_count() - 1 for m in masks]
@@ -159,9 +160,9 @@ def reference_walk(d):
     weights = [[comb(v + t - 1, t - 1) for v in range(cap + 1)]
                for cap, t in zip(caps, classes.values())]
     if last == 0:
-        return weights[0][d.n - 1]
+        return weights[0][n - 1]
     pairs = []
-    for r in range(min(tail[last - 1], d.n - 1) + 1):
+    for r in range(min(tail[last - 1], n - 1) + 1):
         run, row = 0, []
         for v in range(min(caps[last - 1], r) + 1):
             if r - v <= caps[last]:
@@ -198,7 +199,7 @@ def reference_walk(d):
             memo[key] = count
         return memo[key]
 
-    count = walk(0, d.n - 1, {0: 0})
+    count = walk(0, n - 1, {0: 0})
     del walk
     return count
 
@@ -348,7 +349,7 @@ def test_listing_diagram_slack_filter_drops_nothing_that_can_break():
     # drops the entries whose slack equals the weight still to place merges
     # states that differ in an entry that can still break, and miscounts
     early = mutant("_subset_listing", **PRUNE_SLACK_EQUAL)
-    assert len(enumerate_draconian(doubling(delete_path(5, 3)))) == 54
+    assert len(enumerate_draconian(delete_path(5, 3))) == 54
     assert len(early(doubling(delete_path(5, 3)))) == 56
     assert miscounts(lambda d: len(early(d)), "listing slack", 200) >= 30
 
@@ -357,12 +358,13 @@ def test_listing_diagram_closed_pair_joins_what_is_left():
     # with two positions there is nothing to close: the listing keeps the
     # compositions that pass the subset test, and the closure rules above
     # cover every larger graph
-    assert enumerate_draconian(doubling(complete_graph(2))) == [(0, 1), (1, 0)]
+    assert enumerate_draconian(complete_graph(2)) == [(0, 1), (1, 0)]
 
 
 def flow_filter(d):
     """The reference listing: the flow test on every weak composition, in order."""
-    return [c for c in weak_compositions(d.n - 1, d.n) if is_draconian_flow(d, c)]
+    n = len(d)
+    return [c for c in weak_compositions(n - 1, n) if is_draconian_flow(d, c)]
 
 
 def test_subset_listing_matches_the_flow_filter_from_one_vertex_to_c12():
@@ -377,9 +379,9 @@ def test_subset_listing_matches_the_flow_filter_from_one_vertex_to_c12():
     graphs += [doubling(cycle(n)) for n in range(3, 13)]
     graphs += list(seeded_doubles("listing closure", 40, n_max=9))
     for d in graphs:
-        want = flow_filter(d) if d.n <= 8 else enumerate_draconian(d, "flow")
+        want = flow_filter(d) if len(d) <= 8 else draconian._flow_listing(d)
         assert draconian._subset_listing(d) == want, d
-    assert {d.n for d in graphs} == set(range(1, 13))
+    assert {len(d) for d in graphs} == set(range(1, 13))
 
 
 def test_listings_match_the_per_composition_filter():
@@ -387,13 +389,38 @@ def test_listings_match_the_per_composition_filter():
     sizes, empty = set(), 0
     for _ in range(60):
         n = rng.randint(1, 7)
-        d = doubling(Graph.from_edges(n, random_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))))
-        want = flow_filter(d)
+        g = Graph.from_edges(n, random_graph(rng, n, rng.choice((0.3, 0.5, 0.8))))
+        want = flow_filter(doubling(g))
         for engine in ENGINES:
-            assert enumerate_draconian(d, engine) == want, (d, engine)
+            assert enumerate_draconian(g, engine) == want, (g.descriptor(), engine)
         sizes.add(n)
         empty += not want
     assert sizes == set(range(1, 8)) and empty >= 5
+
+
+def test_disconnected_graphs_list_nothing_without_a_walk(monkeypatch):
+    # no sequence of a disconnected graph exists (enumerate_draconian's
+    # docstring), which the per-composition filter confirms on every seeded
+    # one; neither engine then takes a step, not even on 1500 vertices, far
+    # deeper than the recursion limit
+    rng = random.Random("disconnected")
+    graphs = [Graph(2, frozenset()), Graph.from_edges(1500, [(1, 2)])]
+    while len(graphs) < 32:
+        n = rng.randint(2, 7)
+        g = Graph.from_edges(n, random_graph(rng, n, rng.choice((0.2, 0.4, 0.6))))
+        if len(connected_components(g)) > 1:
+            assert flow_filter(doubling(g)) == [], g.descriptor()
+            graphs.append(g)
+
+    def no_step(*args):
+        raise AssertionError("a listing walked a disconnected graph")
+
+    monkeypatch.setattr(draconian, "_join", no_step)
+    monkeypatch.setattr(UnitRouter, "add_unit", no_step)
+    for g in graphs:
+        for engine in ENGINES:
+            assert enumerate_draconian(g, engine) == [], (g.descriptor(), engine)
+    assert {g.n for g in graphs} >= set(range(2, 8))
 
 
 def test_flow_listing_calls_nothing_of_the_subset_walk():
@@ -406,7 +433,7 @@ def test_flow_listing_calls_nothing_of_the_subset_walk():
 def test_memoized_walks_too_deep_for_the_stack_refuse_before_a_step(monkeypatch):
     # C_60 has 60 classes and is connected: under a limit 40 frames above
     # this one, neither memoized walk fits, and neither may take a step
-    cycle = doubling(Graph.from_edges(60, [(v, v % 60 + 1) for v in range(1, 61)]))
+    cycle = Graph.from_edges(60, [(v, v % 60 + 1) for v in range(1, 61)])
 
     def no_step(*args):
         raise AssertionError("a walk took a step before it checked its depth")
@@ -416,7 +443,7 @@ def test_memoized_walks_too_deep_for_the_stack_refuse_before_a_step(monkeypatch)
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
         with pytest.raises(RecursionError):
-            draconian._count_walk(cycle)
+            draconian._count_walk(doubling(cycle))
         with pytest.raises(RecursionError):
             enumerate_draconian(cycle)
     finally:
@@ -455,8 +482,8 @@ def test_twin_classes_count_like_the_oracle_and_the_flow_engine():
         d = doubling(g)
         want = len(brute_draconian(g.n, g.sorted_edges()))
         assert draconian._count_walk(d) == want, g.descriptor()
-        assert len(enumerate_draconian(d, "flow")) == want, g.descriptor()
-        merged += len(set(d.masks)) < g.n
+        assert len(enumerate_draconian(g, "flow")) == want, g.descriptor()
+        merged += len(set(d)) < g.n
     assert merged >= 25
 
 
@@ -503,10 +530,9 @@ def test_cycles_count_n_times_two_to_the_n_minus_two():
 
 def test_flow_engine_enumerates_identically():
     for g in [complete_graph(5), delete_cycle(5, 3), Graph.from_edges(4, [(1, 2), (2, 3)])]:
-        d = doubling(g)
-        assert enumerate_draconian(d, engine="flow") == enumerate_draconian(d, engine="subset")
+        assert enumerate_draconian(g, engine="flow") == enumerate_draconian(g, engine="subset")
     with pytest.raises(ValueError):
-        enumerate_draconian(doubling(complete_graph(3)), engine="magic")
+        enumerate_draconian(complete_graph(3), engine="magic")
     with pytest.raises(ValueError):
         count_draconian(complete_graph(3), engine="magic")
 
@@ -514,12 +540,12 @@ def test_flow_engine_enumerates_identically():
 def probe_every_row(d, c):
     """The flow test with one trial augmentation per row, each on a copy of
     the router that holds c."""
-    base = UnitRouter(d.masks, d.n)
+    base = UnitRouter(d, len(d))
     for i, v in enumerate(c):
         for _ in range(v):
             if not base.add_unit(i):
                 return False
-    return all(copy.deepcopy(base).add_unit(i) for i in range(d.n))
+    return all(copy.deepcopy(base).add_unit(i) for i in range(len(d)))
 
 
 def test_flow_test_agrees_with_a_probe_per_row():
@@ -539,16 +565,16 @@ def test_flow_test_agrees_with_a_probe_per_row():
 
 def test_frozen_family_counts():
     # deletion families, frozen from the brute-force oracle
-    assert len(enumerate_draconian(doubling(delete_path(4, 2)))) == 12
-    assert len(enumerate_draconian(doubling(delete_path(5, 2)))) == 60
-    assert len(enumerate_draconian(doubling(delete_cycle(5, 3)))) == 52
-    assert len(enumerate_draconian(doubling(delete_cycle(5, 4)))) == 36
-    assert len(enumerate_draconian(doubling(delete_cycle(5, 5)))) == 40
+    assert len(enumerate_draconian(delete_path(4, 2))) == 12
+    assert len(enumerate_draconian(delete_path(5, 2))) == 60
+    assert len(enumerate_draconian(delete_cycle(5, 3))) == 52
+    assert len(enumerate_draconian(delete_cycle(5, 4))) == 36
+    assert len(enumerate_draconian(delete_cycle(5, 5))) == 40
 
 
 def test_draconian_sequences_are_weak_compositions():
     for g in [complete_graph(5), delete_cycle(6, 4)]:
-        for c in enumerate_draconian(doubling(g)):
+        for c in enumerate_draconian(g):
             assert len(c) == g.n
             assert sum(c) == g.n - 1
             assert all(x >= 0 for x in c)
@@ -570,7 +596,7 @@ def test_count_disconnected_product_rule():
     assert any("disconnected" in note for note in rep.notes)
     # the raw draconian set of the union is empty: supports can absorb
     # at most 1 unit each but the total weight is 3
-    assert enumerate_draconian(doubling(g)) == []
+    assert enumerate_draconian(g) == []
 
 
 def test_count_isolated_vertices_factor_one():
@@ -612,13 +638,13 @@ def test_engine_equivalence_random_sample():
 
 
 def test_enumeration_result_is_freed_without_a_gc_pass():
-    d = doubling(delete_cycle(7, 4))
+    g = delete_cycle(7, 4)
     gc.collect()
     gc.disable()
     try:
-        enumerate_draconian(d)
-        enumerate_draconian(d, "flow")
-        draconian._count_walk(d)
+        enumerate_draconian(g)
+        enumerate_draconian(g, "flow")
+        draconian._count_walk(doubling(g))
         assert gc.collect() == 0
     finally:
         gc.enable()

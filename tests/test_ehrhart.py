@@ -164,7 +164,7 @@ def test_table_dict_shape():
 
 def flow_count(g, t):
     """Lattice points of the t-th dilate, one flow check per pair of margins."""
-    masks = doubling(g).masks
+    masks = doubling(g)
     return sum(transportation_feasible(masks, a, b)
                for a in weak_compositions(t, g.n) for b in weak_compositions(t, g.n))
 
@@ -210,7 +210,7 @@ def test_slack_prune_drops_nothing_that_can_break():
     early = namespace["_count_column_margins"]
 
     def early_count(g, t):
-        masks = doubling(g).masks
+        masks = doubling(g)
         return sum(early(masks, a) for a in weak_compositions(t, g.n))
 
     assert early_count(delete_path(4, 2), 2) == 71  # 68 points

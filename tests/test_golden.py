@@ -8,7 +8,9 @@ the next two before the subset state kept one entry per neighborhood
 union, the next one before the graph stream marked every relabeling
 of a class seen, the next two before dilates were counted by Gale's
 condition instead of one flow per pair of margins, and the last two
-before the dilate counter lost its process pool.  The two search
+before the dilate counter lost its process pool.  The plain count
+digests, with the tmp_path graph file, were recorded before listing took
+a graph instead of its bipartite double.  The two search
 digests also guard the stream's growth of each n from the least masks
 on n - 1 vertices, which replaced that seen bitmap.  A refactor
 that changes any byte of these outputs, or an exit code, fails here.
@@ -59,6 +61,19 @@ GOLDEN = [
      "f006a437225c462060d484ac6e4f5390e70d25c964dd5a018be2cfaa3e1e7b24"),
     (["ehrhart", "--family", "complete:5", "--table"], 0,
      "b7050fcab23797fb77e6bbaed6831f6d86b3f4ab4b7f9b450216913070bebd65"),
+    # plain counts: the report's fields, in JSON and in the table rendering
+    (["count", "--family", "complete:4"], 0,
+     "f106dfea2366cd99ddd4cd0e6a33190c12c3bd493c06a5a914f8b9491f9d3774"),
+    (["count", "--family", "complete:4", "--table"], 0,
+     "5398379019a5627789267e3dc9f00aa615359abe3065048e12da39148ebe54be"),
+    (["count", "--family", "path-deleted:4,2", "--engine", "flow"], 0,
+     "6859b9b99382fa77f5171d22cd2042aeae403c73a12d7363b3afc7f9321c3ac5"),
+]
+
+# a graph file "5\n2 3\n": one edge and three isolated vertices, so both notes
+GOLDEN_FILE = [
+    (["count"], "19603b9dc9eee8f06d0b3b49f2c3a725f6d2c37138b3b49b11364c3107fb0174"),
+    (["count", "--table"], "27f9f4aeef54e4134d8111788930f502d8e4dbc40a52210a903149c1bed92672"),
 ]
 
 
@@ -66,5 +81,15 @@ GOLDEN = [
                          ids=[" ".join(argv) for argv, _, _ in GOLDEN])
 def test_output_is_byte_identical(capsys, argv, code, digest):
     assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_FILE,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_FILE])
+def test_count_of_a_graph_file_is_byte_identical(capsys, tmp_path, argv, digest):
+    path = tmp_path / "graph.txt"
+    path.write_text("5\n2 3\n")
+    assert main(argv + ["--graph", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -74,8 +74,8 @@ def test_single_edge_deletion_gap():
     # at m = 1 the displayed families are empty, yet two sequences are
     # lost; this is the documented boundary of the construction
     n = 5
-    full = set(enumerate_draconian(doubling(complete_graph(n))))
-    kept = set(enumerate_draconian(doubling(delete_path(n, 1))))
+    full = set(enumerate_draconian(complete_graph(n)))
+    kept = set(enumerate_draconian(delete_path(n, 1)))
     lost = full - kept
     assert lost == {(0, 0, 0, 4, 0), (0, 0, 0, 0, 4)}
 
@@ -210,8 +210,8 @@ def test_lost_set_agrees_with_complete_graph_enumeration():
     cases += [(n, m, verify_cycle_identity, delete_cycle)
               for n in range(5, 9) for m in range(3, n + 1)]
     for n, m, verify, delete in cases:
-        full = enumerate_draconian(doubling(complete_graph(n)))
-        kept = set(enumerate_draconian(doubling(delete(n, m))))
+        full = enumerate_draconian(complete_graph(n))
+        kept = set(enumerate_draconian(delete(n, m)))
         lost = [c for c in full if c not in kept]
         actual = verify(n, m).cardinalities["actual"]
         assert actual["complete_count"] == len(full), (n, m)
@@ -250,7 +250,7 @@ def test_identity_names_a_member_of_the_wrong_sum(monkeypatch, capsys):
 
 
 def test_identity_names_a_member_the_deletion_keeps(monkeypatch, capsys):
-    kept = enumerate_draconian(doubling(delete_cycle(6, 5)))[0]
+    kept = enumerate_draconian(delete_cycle(6, 5))[0]
     _patch_split(monkeypatch, lambda ms: ms + [kept])
     _failed(capsys, [kept])
 

@@ -15,7 +15,6 @@ from pqvol.graphs import (
     Graph,
     complete_graph,
     connected_components,
-    doubling,
     matching_triangles,
     triangle_extend,
 )
@@ -72,14 +71,14 @@ def test_partition_on_single_edge():
 
 
 def test_partition_explicit_images_on_single_edge():
-    base = enumerate_draconian(doubling(complete_graph(2)))
+    base = enumerate_draconian(complete_graph(2))
     one = {lift_one(c) for c in base}
     bump = {lift_bump(c, 1) for c in base}
     resolve = {lift_resolve(c, 1, 2, bump) for c in base}
     assert one == {(1, 0, 1), (0, 1, 1)}
     assert bump == K2_BUMP_IMAGE
     assert resolve == {(0, 0, 2), (0, 2, 0)}
-    assert one | bump | resolve == set(enumerate_draconian(doubling(complete_graph(3))))
+    assert one | bump | resolve == set(enumerate_draconian(complete_graph(3)))
 
 
 def test_partition_at_matching_induction_steps():
@@ -121,8 +120,8 @@ def test_strip_last_unit_recovers_base():
         (matching_triangles(4, 1), (3, 4)),
     ]
     for g, e in cases:
-        base = set(enumerate_draconian(doubling(g)))
-        extended = enumerate_draconian(doubling(triangle_extend(g, e)))
+        base = set(enumerate_draconian(g))
+        extended = enumerate_draconian(triangle_extend(g, e))
         tail_one = {c for c in extended if c[-1] == 1}
         assert {c[:-1] for c in tail_one} == base
 
@@ -134,10 +133,10 @@ def lift_census(n_max: int) -> tuple[collections.Counter, list[int]]:
     """
     tally, defects = collections.Counter(), []
     for g in connected_graph_stream(n_max):
-        base = enumerate_draconian(doubling(g))
+        base = enumerate_draconian(g)
         one = {lift_one(c) for c in base}
         for e in g.sorted_edges():
-            extended = set(enumerate_draconian(doubling(triangle_extend(g, e))))
+            extended = set(enumerate_draconian(triangle_extend(g, e)))
             defect = 3 * len(base) - len(extended)
             defects.append(defect)
             tally["records"] += 1
@@ -181,8 +180,8 @@ def _listed_ratio(g, e):
     """count(g with a triangle on e) / count(g), both sequence sets listed whole,
     since count_draconian multiplies over blocks itself and so could not test
     the product rule."""
-    extended = enumerate_draconian(doubling(triangle_extend(g, e)))
-    return Fraction(len(extended), len(enumerate_draconian(doubling(g))))
+    extended = enumerate_draconian(triangle_extend(g, e))
+    return Fraction(len(extended), len(enumerate_draconian(g)))
 
 
 def test_tripling_is_local_to_the_block_of_the_edge():
