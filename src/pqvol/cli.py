@@ -31,6 +31,7 @@ from .ehrhart import ehrhart_nvol
 from .graphs import (
     MAX_VERTICES,
     Graph,
+    check_connected,
     complete_graph,
     connected_components,
     delete_cycle,
@@ -68,16 +69,6 @@ def check_cap(what: str, size: int, cap: int):
     if size > cap:
         raise EnumerationCapExceeded(
             f"{what} has {size} vertices, over the cap {cap}; raise --cap-n to force this"
-        )
-
-
-def check_connected(what: str, comps: list[tuple[int, ...]]) -> None:
-    """Refuse a graph of more than one component (exit 2) where the command
-    reads one sequence set: a disconnected graph has none."""
-    if len(comps) != 1:
-        raise UsageError(
-            f"{what} needs a connected graph: for disconnected input the volume "
-            "is a product over components, not the size of one sequence set"
         )
 
 
@@ -181,7 +172,7 @@ def cmd_count(args) -> int:
     comps = connected_components(g)
     check_cap("largest component", max(map(len, comps)), args.cap_n)
     if args.list:
-        check_connected("--list", comps)
+        check_connected(g)
         for c in enumerate_draconian(g, args.engine):
             print(" ".join(str(x) for x in c))
         return 0
@@ -249,7 +240,9 @@ def _path_row(n: int, m: int) -> dict:
         "formula_grouped": str(readings.grouped),
         "matching_reading": which,
         "identity": report.to_dict(),
-        "must_hold": report.identity_holds and enum == actual["complete_count"] - actual["union"],
+        # the identity gives enum = complete - union: with no stray member the union lies
+        # in the lost set, and _compare lists any lost sequence the union misses
+        "must_hold": report.identity_holds,
     }
 
 
@@ -351,7 +344,6 @@ def cmd_ehrhart(args) -> int:
 def cmd_recurrence(args) -> int:
     g = load_input_graph(args)
     check_cap("graph", g.n, args.cap_n)
-    check_connected("recurrence", connected_components(g))
     try:
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError:
@@ -501,8 +493,10 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # the reader has all it wants; point stdout at devnull so the final
-        # flush of what is still buffered cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # flush of what is still buffered cannot fail again, and close the
+        # spare descriptor, which an in-process caller would otherwise keep
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

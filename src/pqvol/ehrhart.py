@@ -92,7 +92,7 @@ from typing import Sequence
 
 from .combinat import weak_compositions
 from .flows import transportation_feasible
-from .graphs import Graph, connected_components, doubling
+from .graphs import Graph, check_connected, doubling
 
 
 def polytope_vertices(g: Graph) -> list[tuple[int, ...]]:
@@ -267,8 +267,7 @@ def ehrhart_nvol(g: Graph) -> EhrhartTable:
     counts is a statement about components, and this oracle only
     certifies the connected case.
     """
-    if len(connected_components(g)) != 1:
-        raise ValueError("the geometric oracle only handles connected graphs")
+    check_connected(g)
     # the dimension of a connected graph's polytope (module docstring)
     d = 2 * g.n - 2
     h = _h_star([count_dilate_points(g, t) for t in range(g.n)], d)

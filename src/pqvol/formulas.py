@@ -3,7 +3,10 @@
 All formulas are evaluated in exact integer arithmetic.  They are
 claims to be verified against enumeration, not definitions: the
 `verify` layer compares each one with the draconian count and reports
-where they disagree.
+where they disagree.  Each closed form is defined on its family's
+domain, and refuses the rest through the family's check in graphs, the
+one its builder calls, so a closed form and its builder refuse the same
+specs with the same message.
 
 Two of the expressions need a caveat.
 
@@ -28,20 +31,19 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .graphs import (check_complete, check_cycle_deletion, check_matching_triangles,
+                     check_path_deletion)
+
 
 def nvol_complete(n: int) -> int:
     """Central binomial count C(2(n-1), n-1) for the complete graph on n vertices."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_complete(n)
     return math.comb(2 * (n - 1), n - 1)
 
 
 def nvol_matching_triangles(n: int, m: int) -> int:
     """3^m * C(2(n-1), n-1): complete graph with triangles on a size-m matching."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if m < 0 or 2 * m > n:
-        raise ValueError(f"a matching of size {m} does not fit in {n} vertices")
+    check_matching_triangles(n, m)
     return 3**m * nvol_complete(n)
 
 
@@ -59,10 +61,7 @@ def nvol_path_deleted(n: int, m: int) -> PathDeletionReadings:
     correction term does not degenerate to 0 there.  Values are still
     returned so the comparison layer can document the failure.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    if not 0 <= m < n:
-        raise ValueError(f"need 0 <= m < n, got m = {m}")
+    check_path_deletion(n, m)
     c = nvol_complete(n)
     tail = (2 * n - 4) * (m - 1)
     return PathDeletionReadings(as_printed=c - tail + 4, grouped=c - (tail + 4))
@@ -74,10 +73,7 @@ def nvol_cycle_deleted(n: int, m: int) -> int:
     m = 0 deletes nothing.  The m = 4 branch is reproduced verbatim
     even though it disagrees with enumeration.
     """
-    if n < 5:
-        raise ValueError(f"need n >= 5, got {n}")
-    if m != 0 and not 3 <= m <= n:
-        raise ValueError(f"cycle length must be 0 or in 3..{n}, got {m}")
+    check_cycle_deletion(n, m)
     c = nvol_complete(n)
     if m == 4:
         return c - 2 * (n + 1) * (n - 2)

@@ -8,6 +8,9 @@ an edge.
 
 Each of the paper's four families has one builder, called with its
 parameters: complete_graph, matching_triangles, delete_path, delete_cycle.
+Beside each builder is the one check of its family's domain, which the
+closed forms in formulas and the exception sets in lost_sequences call
+too.  check_connected is the one refusal of a disconnected graph.
 
 The doubling D(G) of a graph G on [n] is the bipartite graph on
 [n] + [n-bar] in which i on the left is joined to i-bar and to j-bar
@@ -108,9 +111,14 @@ def doubling(g: Graph) -> tuple[int, ...]:
     return tuple(m | 1 << i for i, m in enumerate(g.adj))
 
 
-def complete_graph(n: int) -> Graph:
+def check_complete(n: int) -> None:
+    """Refuse an n outside the complete family's domain, n >= 1."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
+
+
+def complete_graph(n: int) -> Graph:
+    check_complete(n)
     return Graph(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
 
 
@@ -123,20 +131,32 @@ def triangle_extend(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(w, g.edges | {(u, w), (v, w)})
 
 
-def matching_triangles(n: int, m: int) -> Graph:
-    """K_n with apex n+k glued onto the edge {2k-1, 2k} for k = 1..m.
-
-    The domain, n >= 2 and 0 <= 2m <= n, is the closed form's, and is
-    checked before K_n is built.
-    """
+def check_matching_triangles(n: int, m: int) -> None:
+    """Refuse (n, m) outside the matching-triangles domain, n >= 2 and 0 <= 2m <= n."""
     if n < 2:
         raise ValueError(f"matching triangles need n >= 2, got {n}")
     if m < 0 or 2 * m > n:
         raise ValueError(f"a matching of size {m} does not fit in {n} vertices")
+
+
+def matching_triangles(n: int, m: int) -> Graph:
+    """K_n with apex n+k glued onto the edge {2k-1, 2k} for k = 1..m.
+
+    The domain is checked before K_n is built.
+    """
+    check_matching_triangles(n, m)
     g = complete_graph(n)
     for k in range(1, m + 1):
         g = triangle_extend(g, (2 * k - 1, 2 * k))
     return g
+
+
+def check_path_deletion(n: int, m: int) -> None:
+    """Refuse (n, m) outside the path-deletion domain, n >= 4 and 0 <= m < n."""
+    if n < 4:
+        raise ValueError(f"path deletion needs n >= 4, got {n}")
+    if not 0 <= m < n:
+        raise ValueError(f"path length m must satisfy 0 <= m < n, got {m}")
 
 
 def delete_path(n: int, m: int) -> Graph:
@@ -145,10 +165,7 @@ def delete_path(n: int, m: int) -> Graph:
     The removed edges are {i, i+1} for n-m <= i <= n-1, so the path
     covers the last m+1 vertices.  m = 0 returns the complete graph.
     """
-    if n < 4:
-        raise ValueError(f"path deletion needs n >= 4, got {n}")
-    if not 0 <= m < n:
-        raise ValueError(f"path length m must satisfy 0 <= m < n, got {m}")
+    check_path_deletion(n, m)
     removed = {(i, i + 1) for i in range(n - m, n)}
     return Graph(n, complete_graph(n).edges - removed)
 
@@ -158,19 +175,24 @@ def cycle_vertices(n: int, m: int) -> tuple[int, ...]:
     return tuple(range(n - m + 1, n + 1))
 
 
+def check_cycle_deletion(n: int, m: int) -> None:
+    """Refuse (n, m) outside the cycle-deletion domain: n >= 5, and m = 0
+    (nothing deleted) or 3 <= m <= n; m in {1, 2} describes no cycle."""
+    if n < 5:
+        raise ValueError(f"cycle deletion needs n >= 5, got {n}")
+    if m != 0 and not 3 <= m <= n:
+        raise ValueError(f"cycle length m must be 0 or satisfy 3 <= m <= n, got {m}")
+
+
 def delete_cycle(n: int, m: int) -> Graph:
     """K_n minus an m-cycle on the last m vertices.
 
     The removed edges join consecutive entries of cycle_vertices(n, m),
-    wrapping around.  m = 0 returns the complete graph; m in {1, 2}
-    does not describe a cycle and is rejected.
+    wrapping around.  m = 0 returns the complete graph.
     """
-    if n < 5:
-        raise ValueError(f"cycle deletion needs n >= 5, got {n}")
+    check_cycle_deletion(n, m)
     if m == 0:
         return complete_graph(n)
-    if not 3 <= m <= n:
-        raise ValueError(f"cycle length m must be 0 or satisfy 3 <= m <= n, got {m}")
     cyc = cycle_vertices(n, m)
     removed = {_as_edge(cyc[k], cyc[(k + 1) % m]) for k in range(m)}
     return Graph(n, complete_graph(n).edges - removed)
@@ -206,6 +228,21 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
         unseen &= ~block
         out.append(tuple(_bits(block)))
     return out
+
+
+def check_connected(g: Graph) -> None:
+    """Refuse a graph of more than one component.
+
+    The volume of a disconnected graph is the product of its components'
+    volumes.  The graph has no draconian sequence (the enumerate_draconian
+    docstring proves this), and its polytope has dimension below 2n - 2.
+    So whatever reads the volume off one sequence set, or off a polytope
+    of dimension 2n - 2, calls this first.
+    """
+    k = len(connected_components(g))
+    if k != 1:
+        raise ValueError(f"the graph has {k} components, and this needs a connected graph: "
+                         "a disconnected graph's volume is the product of its components' volumes")
 
 
 def biconnected_blocks(g: Graph) -> list[Graph]:

@@ -31,7 +31,8 @@ from functools import reduce
 
 from .combinat import SequenceSet
 from .draconian import count_draconian, is_draconian_subset
-from .graphs import Graph, cycle_vertices, delete_cycle, delete_path, doubling
+from .graphs import (Graph, check_cycle_deletion, check_path_deletion, cycle_vertices,
+                     delete_cycle, delete_path, doubling)
 
 
 def _unit(n: int, i: int, amount: int) -> tuple[int, ...]:
@@ -47,17 +48,18 @@ def _bump(vec: tuple[int, ...], i: int, amount: int) -> tuple[int, ...]:
 
 
 def _check_path_params(n: int, m: int):
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    if not 2 <= m < n:
-        raise ValueError(f"path exception sets need 2 <= m < n, got m = {m}")
+    """The path-deletion domain, and m >= 2: m = 0 deletes nothing, and at
+    m = 1 the deleted graph loses sequences that neither family holds."""
+    check_path_deletion(n, m)
+    if m < 2:
+        raise ValueError(f"path exception sets need m >= 2, got m = {m}")
 
 
 def _check_cycle_params(n: int, m: int):
-    if n < 5:
-        raise ValueError(f"need n >= 5, got {n}")
-    if not 3 <= m <= n:
-        raise ValueError(f"cycle exception sets need 3 <= m <= n, got m = {m}")
+    """The cycle-deletion domain, less m = 0, which deletes no cycle."""
+    check_cycle_deletion(n, m)
+    if m == 0:
+        raise ValueError("cycle exception sets need a cycle, 3 <= m <= n, got m = 0")
 
 
 def path_heavy_exceptions(n: int, m: int) -> SequenceSet:

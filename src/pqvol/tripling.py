@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .draconian import count_draconian, enumerate_draconian
-from .graphs import Graph, connected_components, triangle_extend
+from .graphs import Graph, check_connected, connected_components, triangle_extend
 
 
 def lift_one(c: Sequence[int]) -> tuple[int, ...]:
@@ -145,8 +145,12 @@ def verify_partition(g: Graph, e: tuple[int, int], matching_mode: bool = False) 
     matching_mode is a caller annotation recording that e extends a
     triangle matching on a complete graph (the setting in which the
     partition is guaranteed); the measurement itself is identical.
-    A non-edge e is refused by triangle_extend before anything is listed.
+    A disconnected g has no draconian sequence, so its base and extended
+    sets would both be empty and "triples" would hold vacuously:
+    check_connected refuses it, and triangle_extend a non-edge e, before
+    anything is listed.
     """
+    check_connected(g)
     u, v = min(e), max(e)
     extended_graph = triangle_extend(g, (u, v))
     base = enumerate_draconian(g)

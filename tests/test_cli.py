@@ -23,7 +23,7 @@ import pqvol
 from pqvol import cli, draconian, ehrhart, lost_sequences, tripling
 from pqvol.cli import main
 from pqvol.draconian import ENGINES, count_draconian, enumerate_draconian
-from pqvol.graphs import MAX_VERTICES, parse_graph
+from pqvol.graphs import MAX_VERTICES, check_connected, parse_graph
 
 SCHEMA = json.loads((files("pqvol") / "schemas" / "report.schema.json").read_text())
 # for a fresh interpreter: import the package from where this one found it
@@ -226,14 +226,32 @@ def test_import_loads_no_process_pool():
 def test_closed_stdout_exits_quietly():
     # K_9's list is 231 KB, more than a pipe buffer holds, so the writer
     # is still printing when the reader goes away
-    proc = subprocess.Popen([sys.executable, "-m", "pqvol.cli", "count", "--family", "complete:9",
-                             "--list"], env=CHILD_ENV, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0 8\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen([sys.executable, "-m", "pqvol.cli", "count", "--family", "complete:9",
+                           "--list"], env=CHILD_ENV, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0 8\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def lowest_free_fd() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_closed_stdout_leaks_no_descriptor(monkeypatch):
+    # an in-process caller, such as a benchmark worker, keeps running after
+    # main answers a broken pipe, so main must close what it opened for it
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        free = lowest_free_fd()
+        assert main(["count", "--family", "complete:3", "--list"]) == 141
+        assert lowest_free_fd() == free
 
 
 def test_missing_graph_source(capsys):
@@ -262,23 +280,26 @@ def test_formula_range_errors(capsys):
         assert err.startswith("error:")
 
 
+def refusal(f, *params) -> str | None:
+    """The message of the ValueError f(*params) raises, or None if it returns."""
+    try:
+        f(*params)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("name", list(cli.FAMILIES))
 def test_family_record_agrees_with_itself(name):
-    # the builder and the closed form share one domain, the vertex count is the
-    # built graph's, and every row verify can ask for builds
+    # the builder and the closed form share one domain check, so they refuse
+    # the same specs with the same message; the vertex count is the built
+    # graph's, and every row verify can ask for builds
     family = cli.FAMILIES[name]
     for params in itertools.product(range(-1, 9), repeat=family.arity):
-        try:
-            g = family.build(*params)
-        except ValueError:
-            g = None
-        try:
-            family.formula(*params)
-        except ValueError:
-            assert g is None, f"{name}:{params} builds but has no closed form"
-        else:
-            assert g is not None, f"{name}:{params} has a closed form but does not build"
-            assert family.size(*params) == g.n, params
+        refused = refusal(family.build, *params)
+        assert refusal(family.formula, *params) == refused, f"{name}:{params}"
+        if refused is None:
+            assert family.size(*params) == family.build(*params).n, params
     if family.row is not None:
         for n in range(family.smallest, 9):
             lo, hi = family.m_range(n)
@@ -536,6 +557,21 @@ def test_recurrence_command(capsys):
     assert code == 2
     code, _, err = run(capsys, "recurrence", "--family", "complete:3", "--edge", "1-2")
     assert code == 2
+
+
+def test_one_connectivity_refusal(capsys, tmp_path):
+    # graphs.check_connected owns the refusal: the library functions that read
+    # one sequence set or one polytope raise its message, and the commands
+    # that reach them exit 2 with it
+    path = tmp_path / "g.txt"
+    path.write_text("3\n1 2\n")
+    g = parse_graph(path.read_text())
+    message = refusal(check_connected, g)
+    assert "needs a connected graph" in message
+    assert refusal(tripling.verify_partition, g, (1, 2)) == message
+    assert refusal(ehrhart.ehrhart_nvol, g) == message
+    for argv in (["recurrence", "--edge", "1,2"], ["ehrhart"], ["count", "--list"]):
+        assert run(capsys, *argv, "--graph", str(path)) == (2, "", f"error: {message}\n"), argv
 
 
 STAR_CENTRE_LAST = "1100\n" + "".join(f"{i} 1100\n" for i in range(1, 1100))

@@ -108,8 +108,9 @@ def test_partition_beyond_matchings_observed():
 
 
 def test_partition_rejects_non_edges():
-    with pytest.raises(ValueError):
-        verify_partition(Graph.from_edges(3, [(1, 2)]), (1, 3))
+    # on a connected graph, so that the non-edge, not connectivity, is refused
+    with pytest.raises(ValueError, match="is not an edge"):
+        verify_partition(Graph.from_edges(3, [(1, 2), (2, 3)]), (1, 3))
 
 
 def test_strip_last_unit_recovers_base():
